@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -408,3 +410,31 @@ def test_recheck_rejects_wrong_instance():
     other_weight, other_f = random_instance(9, max_depth=5)
     result = recheck_certificate(cert, other_weight, other_f)
     assert not result["ok"]
+
+
+GOLDEN_DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "golden_certificates.sha256"
+
+
+def certificate_digests(count=200):
+    """SHA-256 of the sorted-key JSON certificate of random_instance(0..count-1).
+
+    Regenerate the golden file, only when certificate bytes change on purpose, with
+    PYTHONPATH=src:tests python -c "import test_sparse as t; t.write_golden_digests()"
+    """
+    digests = []
+    for index in range(count):
+        weight, f = random_instance(index)
+        cert = certify(weight, f, default_stopping_config(weight.dim))
+        digests.append(hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest())
+    return digests
+
+
+def write_golden_digests():
+    GOLDEN_DIGESTS.write_text("".join(d + "\n" for d in certificate_digests()))
+
+
+def test_certificates_match_golden_digests():
+    golden = GOLDEN_DIGESTS.read_text().split()
+    assert len(golden) == 200
+    for index, (got, want) in enumerate(zip(certificate_digests(len(golden)), golden)):
+        assert got == want, f"certificate of random_instance({index}) differs from the golden digest"
