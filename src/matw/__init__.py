@@ -27,4 +27,22 @@ from .weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                       load_weight, matrix_weight_from_scalar, save_weight,
                       scalar_a2_characteristic, scalar_direction_weight)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DyadicInterval", "GridMatrixField", "GridScalar", "GridVector", "ROOT",
+    "average", "children", "load_field", "save_field",
+    "HaarCoefficients", "SignPattern", "analyze", "martingale_transform",
+    "s3w_norm_squared", "sw_monte_carlo", "sw_norm_squared",
+    "sw_sign_enumeration", "synthesize", "unweighted_square_function",
+    "unweighted_square_function_sq",
+    "hs_norm", "operator_norm", "psd_power", "sym_eigen", "trace_of",
+    "OperatorNormEstimate", "PowerIterationOptions", "estimate_operator_norm",
+    "SparseFamily", "StoppingConfig", "build_sparse_family", "certify",
+    "default_stopping_config", "recheck_certificate", "stopping_children",
+    "verify_domination", "verify_maximality", "verify_sparseness",
+    "verify_type1_trace_bound", "verify_type2_weak_bound",
+    "ExperimentConfig", "SweepRecord", "emit_csv", "run_sweep",
+    "MatrixWeight", "WeightFamilySpec", "a2_characteristic",
+    "ainfty_characteristic", "fujii_wilson_constant", "generate_weight",
+    "load_weight", "matrix_weight_from_scalar", "save_weight",
+    "scalar_a2_characteristic", "scalar_direction_weight",
+]

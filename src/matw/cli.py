@@ -15,7 +15,7 @@ import sys
 from .dyadic import GridVector, load_field, save_field
 from .opnorm import PowerIterationOptions, estimate_operator_norm
 from .haar import sw_norm_squared
-from .sparse import StoppingConfig, certify, default_stopping_config
+from .sparse import certify, default_stopping_config
 from .sweep import ExperimentConfig, run_sweep
 from .weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                       ainfty_characteristic, generate_weight, load_weight, save_weight)
@@ -96,12 +96,7 @@ def _file_sha256(path: str) -> str:
 def cmd_sparse(args) -> int:
     weight = load_weight(args.weight)
     f = _load_vector(args.f)
-    if args.c1 is None:
-        cfg = default_stopping_config(weight.dim)
-        cfg = StoppingConfig(c1=cfg.c1, c2=args.c2)
-    else:
-        cfg = StoppingConfig(c1=args.c1, c2=args.c2)
-    cert = certify(weight, f, cfg)
+    cert = certify(weight, f, default_stopping_config(weight.dim, args.c1, args.c2))
     cert["instance"]["weight_sha256"] = _file_sha256(args.weight)
     cert["instance"]["function_sha256"] = _file_sha256(args.f)
     if args.certify:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SYM_TOL = 1e-12
+from .linalg import SYM_TOL
 
 
 @dataclass(frozen=True, order=True)
@@ -72,14 +72,6 @@ def children(interval: DyadicInterval, depth: int) -> tuple[DyadicInterval, Dyad
         DyadicInterval(interval.level + 1, 2 * interval.index),
         DyadicInterval(interval.level + 1, 2 * interval.index + 1),
     )
-
-
-def intervals_breadth_first(depth: int, max_level: int | None = None):
-    """All dyadic intervals up to max_level (default: depth), level-major order."""
-    top = depth if max_level is None else max_level
-    for level in range(top + 1):
-        for index in range(1 << level):
-            yield DyadicInterval(level, index)
 
 
 def _build_average_tree(leaf_values: np.ndarray, depth: int) -> list[np.ndarray]:

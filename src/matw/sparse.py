@@ -54,10 +54,11 @@ class StoppingConfig:
                 "max_generations": self.max_generations, "weak_type_budget": self.weak_type_budget}
 
 
-def default_stopping_config(dim: int) -> StoppingConfig:
-    """c1 = 2 sqrt(d) caps norm-triggered mass per node at 1/4; c2 = 256 with
-    weak-type budget 4 caps sum-triggered mass at 1/4, giving 1/2-sparseness."""
-    return StoppingConfig(c1=2.0 * math.sqrt(dim))
+def default_stopping_config(dim: int, c1: float | None = None, c2: float = 256.0) -> StoppingConfig:
+    """c1 defaults to 2 sqrt(d), which caps norm-triggered mass per node at 1/4;
+    c2 = 256 with weak-type budget 4 caps sum-triggered mass at 1/4, giving
+    1/2-sparseness."""
+    return StoppingConfig(c1=2.0 * math.sqrt(dim) if c1 is None else c1, c2=c2)
 
 
 @dataclass
@@ -80,11 +81,21 @@ class SparseNode:
 
 @dataclass
 class SparseFamily:
+    """The stopping family of one instance (weight, f).
+
+    `scans` memoizes, on first use, the generation scan of every node with
+    children, so the verifiers scan each parent once between them. The memo
+    belongs to the instance the family was built from: pass only that weight
+    and function to the verifiers. It is not serialized or compared.
+    """
+
     depth: int
     dim: int
     config: StoppingConfig
     nodes: dict[DyadicInterval, SparseNode]
     generations: list[list[DyadicInterval]]
+    _scans: dict[DyadicInterval, _GenerationScan] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def intervals(self) -> list[DyadicInterval]:
         return sorted(self.nodes)
@@ -99,6 +110,15 @@ class SparseFamily:
             "nodes": [self.nodes[iv].to_json_dict() for iv in self.intervals()],
             "generations": [[[iv.level, iv.index] for iv in sorted(gen)] for gen in self.generations],
         }
+
+    def scans(self, weight: MatrixWeight, f) -> dict[DyadicInterval, _GenerationScan]:
+        if not self._scans:
+            coeffs = analyze(f)
+            for interval, node in self.nodes.items():
+                if node.children:
+                    self._scans[interval] = _GenerationScan(weight, coeffs, f.values,
+                                                            interval, self.config)
+        return self._scans
 
 
 class _GenerationScan:
@@ -249,11 +269,9 @@ class DominationReport:
         return {"ok": self.ok, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
 
 
-def verify_domination(weight: MatrixWeight, f, family: SparseFamily,
-                      cfg: StoppingConfig | None = None) -> DominationReport:
+def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> DominationReport:
     """Full energy against C1^2 C2 times the sparse square function energy."""
-    if cfg is None:
-        cfg = family.config
+    cfg = family.config
     lhs = sw_norm_squared(weight, f).total
     rhs = cfg.c1 * cfg.c1 * cfg.c2 * s3w_norm_squared(weight, f, family)
     return DominationReport(lhs <= rhs * (1.0 + DOMINATION_SLACK), lhs, rhs, rhs - lhs)
@@ -342,14 +360,12 @@ class WeakBoundReport:
                 "per_node": self.per_node}
 
 
-def verify_type2_weak_bound(family: SparseFamily, weight: MatrixWeight, f,
-                            cfg: StoppingConfig | None = None) -> WeakBoundReport:
+def verify_type2_weak_bound(family: SparseFamily, weight: MatrixWeight, f) -> WeakBoundReport:
     """Sum-triggered children sit inside the super-level set of the localized
     square function of g = <W>_R^{1/2} f; their mass gives a lower estimate of
     the weak (1,1) norm of the square function, reported per node."""
-    if cfg is None:
-        cfg = family.config
-    coeffs = analyze(f)
+    cfg = family.config
+    scans = family.scans(weight, f)
     rows, all_ok = [], True
     max_quotient = 0.0
     for parent in family.intervals():
@@ -357,9 +373,9 @@ def verify_type2_weak_bound(family: SparseFamily, weight: MatrixWeight, f,
                 if family.node(c).trigger in ("type2", "both")]
         if not kids:
             continue
-        scan = _GenerationScan(weight, coeffs, f.values, parent, cfg)
+        scan = scans[parent]
         depth = weight.depth
-        leaf_chain = scan.chains[depth] if parent.level < depth else np.array([])
+        leaf_chain = scan.chains[depth]
         contained = True
         for k in kids:
             sl = k.interval.leaf_slice(depth)
@@ -394,14 +410,9 @@ def verify_maximality(family: SparseFamily, weight: MatrixWeight, f) -> Maximali
     """Every strict ancestor of a stopping child, within its generation,
     satisfies both conditions with <=."""
     cfg = family.config
-    coeffs = analyze(f)
     violations = []
-    for parent in family.intervals():
-        children = family.node(parent).children
-        if not children:
-            continue
-        scan = _GenerationScan(weight, coeffs, f.values, parent, cfg)
-        for child in children:
+    for parent, scan in sorted(family.scans(weight, f).items()):
+        for child in family.node(parent).children:
             ancestor = child.parent() if child.level > parent.level + 1 else None
             while ancestor is not None and ancestor != parent:
                 if scan.norm_at(ancestor) > cfg.c1:
@@ -447,47 +458,22 @@ def _config_from_json(obj: dict) -> StoppingConfig:
 def recheck_certificate(cert: dict, weight: MatrixWeight, f) -> dict:
     """Independently validate a certificate's claims against the raw instance.
 
-    Does not rerun the builder blindly: the claimed family is checked node by
-    node (each stopping child really fires its tagged condition against its
-    parent, nothing above it fires, and no stopping interval was omitted),
-    then every reported inequality is recomputed from the instance data and
-    compared with the certificate's own numbers.
+    Rebuilds the family from the instance under the certificate's own config
+    and requires it to equal the claimed family exactly: every node with its
+    trigger, parent, children and e_ratio, and every generation. Then every
+    reported inequality is recomputed from the instance data and compared with
+    the certificate's own numbers. Nothing is taken from the certifying
+    process.
     """
-    problems: list[str] = []
     cfg = _config_from_json(cert["config"])
     if cert["instance"]["depth"] != weight.depth or cert["instance"]["dim"] != weight.dim:
         return {"ok": False, "problems": ["instance shape does not match certificate"]}
 
-    nodes = {tuple(n["interval"]): n for n in cert["family"]["nodes"]}
-    if (0, 0) not in nodes:
-        problems.append("family misses the root")
-    coeffs = analyze(f)
-    for key, node in sorted(nodes.items()):
-        parent = node["parent"]
-        if parent is None:
-            if node["trigger"] != "root":
-                problems.append(f"non-root trigger on {key}")
-            continue
-        if tuple(parent) not in nodes:
-            problems.append(f"dangling parent for {key}")
-    # each parent's claimed children must be exactly the maximal violators
-    for key, node in sorted(nodes.items()):
-        interval = DyadicInterval(*key)
-        claimed = {tuple(c): nodes[tuple(c)]["trigger"] for c in node["children"]}
-        if interval.level >= weight.depth:
-            found = {}
-        else:
-            scan = _GenerationScan(weight, coeffs, f.values, interval, cfg)
-            found = {(iv.level, iv.index): tag for iv, tag in scan.stopping_intervals()}
-        if claimed != found:
-            problems.append(f"stopping children of {key} differ: "
-                            f"claimed {sorted(claimed)} found {sorted(found)}")
-        covered = sum(2.0 ** -c[0] for c in claimed)
-        ratio = (interval.measure - covered) / interval.measure
-        if abs(ratio - node["e_ratio"]) > 1e-12:
-            problems.append(f"e_ratio mismatch on {key}")
-
+    problems: list[str] = []
     family = build_sparse_family(weight, f, cfg)
+    claimed_family = json.dumps(cert["family"], sort_keys=True)
+    if json.dumps(family.to_json_dict(), sort_keys=True) != claimed_family:
+        problems.append("family differs from the one rebuilt from the instance")
     checks = {
         "sparseness": (verify_sparseness(family).to_json_dict(), cert["sparseness"]),
         "domination": (verify_domination(weight, f, family).to_json_dict(), cert["domination"]),

@@ -50,10 +50,7 @@ class ExperimentConfig:
             raise ValueError("power_rel_tol must lie in (0, 1e-3]")
 
     def stopping_config(self) -> StoppingConfig:
-        if self.stopping_c1 is None:
-            cfg = default_stopping_config(self.dim)
-            return StoppingConfig(c1=cfg.c1, c2=self.stopping_c2)
-        return StoppingConfig(c1=self.stopping_c1, c2=self.stopping_c2)
+        return default_stopping_config(self.dim, self.stopping_c1, self.stopping_c2)
 
     def to_json_dict(self) -> dict:
         obj = asdict(self)

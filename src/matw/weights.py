@@ -31,9 +31,9 @@ class MatrixWeight:
 
     Positivity is enforced per leaf matrix: the smallest eigenvalue must clear
     eps_pd relative to that leaf's largest eigenvalue, so pointwise inverses
-    are trustworthy. The spread across the grid is recorded as a diagnostic
-    (global_eigenvalue_ratio) but not enforced; extreme power-law weights are
-    legitimate inputs whose leaves are individually well conditioned.
+    are trustworthy. The spread across the grid is not enforced; extreme
+    power-law weights are legitimate inputs whose leaves are individually well
+    conditioned.
     """
 
     def __init__(self, field: GridMatrixField, eps_pd: float = EPS_PD, metadata: dict | None = None):
@@ -49,7 +49,6 @@ class MatrixWeight:
         self.inverse_field = GridMatrixField(field.depth, field.dim, inv_vals)
         self.eps_pd = eps_pd
         self.metadata = dict(metadata) if metadata else {}
-        self.global_eigenvalue_ratio = float(np.min(lo) / np.max(hi))
         self._sqrt_levels: dict[int, np.ndarray] = {}
         # averages at every scale are queried constantly; build both trees now
         self.field.average_tree()

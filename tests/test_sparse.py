@@ -404,6 +404,52 @@ def test_recheck_rejects_tampered_certificates():
     assert not recheck_certificate(flipped, weight, f)["ok"]
 
 
+def _orphan_children(family):
+    family["nodes"] = [n for n in family["nodes"] if n["parent"] is None]
+
+
+def _invented_leaf(family):
+    family["nodes"].append({"interval": [2, 0], "trigger": "type1", "parent": [0, 0],
+                            "children": [], "e_ratio": 1.0})
+
+
+def _truncated_generations(family):
+    assert len(family["generations"]) == 2
+    del family["generations"][1:]
+
+
+@pytest.mark.parametrize("tamper", [_orphan_children, _invented_leaf, _truncated_generations])
+def test_recheck_rejects_inconsistent_family(tamper):
+    eps = 1e-3
+    weight = scalar_weight(2, [eps, eps, 1.0, 1.0])
+    f = GridVector(2, 1, np.array([[0.0], [0.0], [50.0], [0.0]]))
+    cert = json.loads(json.dumps(certify(weight, f, StoppingConfig(c1=1.2, c2=1.5))))
+    tamper(cert["family"])
+    result = recheck_certificate(cert, weight, f)
+    assert not result["ok"]
+    assert result["problems"]
+
+
+def test_verifiers_share_one_scan_per_parent(monkeypatch):
+    from matw.sparse import _GenerationScan
+
+    weight, f = random_instance(9)
+    family = build_sparse_family(weight, f, StoppingConfig(c1=1.3, c2=4.0))
+    parents = sum(1 for iv in family.intervals() if family.node(iv).children)
+    assert parents >= 2
+    built = []
+    original = _GenerationScan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[3])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_GenerationScan, "__init__", counting_init)
+    assert verify_type2_weak_bound(family, weight, f).ok
+    assert verify_maximality(family, weight, f).ok
+    assert len(built) == len(set(built)) == parents
+
+
 def test_recheck_rejects_wrong_instance():
     weight, f = random_instance(4, max_depth=5)
     cert = certify(weight, f, default_stopping_config(weight.dim))
