@@ -3,10 +3,12 @@
 The squared norm is the largest generalized eigenvalue of the pair (Q, P),
   Q(f) = sum_I <<W>_I (f,h_I), (f,h_I)>,      P(f) = integral <W f, f>.
 Q is applied matrix-free through Haar analysis and synthesis with <W>_I
-multipliers; P is block diagonal over leaves, so each iteration solves one
-small positive definite system per leaf. The Rayleigh quotient of the final
-iterate is returned together with the iterate itself, so the value is always
-a witness-certified lower bound regardless of convergence.
+multipliers; P is block diagonal over leaves, so each step applies the
+pointwise inverse W^-1 that the weight caches at construction. Each iterate is
+analyzed once: its coefficients give both the energy that decides convergence
+and the image under Q. The Rayleigh quotient of the final iterate is returned
+together with the iterate itself, so the value is always a witness-certified
+lower bound regardless of convergence.
 """
 
 from __future__ import annotations
@@ -39,13 +41,16 @@ class OperatorNormEstimate:
     converged: bool
 
 
-def apply_form(weight: MatrixWeight, f: GridVector) -> GridVector:
-    """(A f)(x) = sum_I <W>_I (f, h_I) h_I(x), the linear map behind Q."""
-    coeffs = analyze(f)
+def _haar_multiplier(weight: MatrixWeight, coeffs: HaarCoefficients) -> HaarCoefficients:
+    """The coefficients <W>_I c_I, with the mean dropped."""
     weighted = [np.einsum("nij,nj->ni", weight.level_averages(k), c)
                 for k, c in enumerate(coeffs.levels)]
-    zero_mean = np.zeros(f.dim)
-    return synthesize(HaarCoefficients(f.depth, f.dim, zero_mean, weighted), include_mean=False)
+    return HaarCoefficients(coeffs.depth, coeffs.dim, np.zeros(coeffs.dim), weighted)
+
+
+def apply_form(weight: MatrixWeight, f: GridVector) -> GridVector:
+    """(A f)(x) = sum_I <W>_I (f, h_I) h_I(x), the linear map behind Q."""
+    return synthesize(_haar_multiplier(weight, analyze(f)), include_mean=False)
 
 
 def weighted_l2_sq(weight: MatrixWeight, f: GridVector) -> float:
@@ -71,18 +76,21 @@ def estimate_operator_norm(weight: MatrixWeight,
                            ) -> OperatorNormEstimate:
     """Largest generalized eigenvalue of (Q, P) with a certifying witness."""
     f = start_vector(weight, opts.seed)
+    weighted = _haar_multiplier(weight, analyze(f))
     lam_prev = None
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        image = apply_form(weight, f)
-        g_vals = np.linalg.solve(weight.field.values, image.values[:, :, None])[:, :, 0]
-        g = GridVector(weight.depth, weight.dim, g_vals)
-        norm = np.sqrt(weighted_l2_sq(weight, g))
+        image = synthesize(weighted, include_mean=False).values
+        g_vals = np.einsum("nij,nj->ni", weight.inverse_field.values, image)
+        # P(g) = integral <W g, g> = integral <image, g> for g = W^-1 image
+        norm = np.sqrt(float(np.sum(image * g_vals)) * 2.0 ** -weight.depth)
         if norm == 0.0:
             break
-        f = GridVector(weight.depth, weight.dim, g.values / norm)
-        lam = sw_norm_squared(weight, f).total
+        f = GridVector(weight.depth, weight.dim, g_vals / norm)
+        coeffs = analyze(f)
+        weighted = _haar_multiplier(weight, coeffs)
+        lam = float(sum(np.sum(c * wc) for c, wc in zip(coeffs.levels, weighted.levels)))
         if lam_prev is not None and abs(lam - lam_prev) <= opts.rel_tol * max(lam, 1e-300):
             converged = True
             break

@@ -26,7 +26,7 @@ import numpy as np
 from .opnorm import PowerIterationOptions, estimate_operator_norm, weighted_l2_sq
 from .haar import sw_norm_squared
 from .sparse import StoppingConfig, build_sparse_family, default_stopping_config, verify_domination
-from .weights import MatrixWeight, WeightFamilySpec, a2_characteristic, ainfty_characteristic, generate_weight
+from .weights import WeightFamilySpec, a2_characteristic, ainfty_characteristic, generate_weight
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def run_record(cfg: ExperimentConfig, t: float, seed: int) -> SweepRecord:
         spec = WeightFamilySpec(cfg.family_kind, cfg.dim, cfg.depth, parameter=t, seed=seed)
         weight = generate_weight(spec)
         rec.a2 = a2_characteristic(weight)
-        inverse_weight = MatrixWeight(weight.inverse_field, eps_pd=weight.eps_pd)
-        rec.ainf_winv_sampled = ainfty_characteristic(inverse_weight, cfg.n_directions, seed=seed)
+        rec.ainf_winv_sampled = ainfty_characteristic(weight.inverse(), cfg.n_directions, seed=seed)
         opts = PowerIterationOptions(max_iters=cfg.power_max_iters,
                                      rel_tol=cfg.power_rel_tol, seed=seed)
         est = estimate_operator_norm(weight, opts)

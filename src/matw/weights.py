@@ -45,14 +45,28 @@ class MatrixWeight:
             worst = float(np.min(lo / hi))
             raise ValueError(f"singular weight: leaf eigenvalue ratio {worst:.3e} below {eps_pd:.1e}")
         inv_vals = np.einsum("nij,nj,nkj->nik", vecs, 1.0 / vals, vecs)
+        self._adopt(field, GridMatrixField(field.depth, field.dim, inv_vals), eps_pd, metadata)
+
+    def _adopt(self, field: GridMatrixField, inverse_field: GridMatrixField,
+               eps_pd: float, metadata: dict | None) -> None:
         self.field = field
-        self.inverse_field = GridMatrixField(field.depth, field.dim, inv_vals)
+        self.inverse_field = inverse_field
         self.eps_pd = eps_pd
         self.metadata = dict(metadata) if metadata else {}
         self._sqrt_levels: dict[int, np.ndarray] = {}
         # averages at every scale are queried constantly; build both trees now
         self.field.average_tree()
         self.inverse_field.average_tree()
+
+    def inverse(self) -> "MatrixWeight":
+        """The weight W^-1, sharing both fields and their average trees.
+
+        No second eigendecomposition: every leaf of W^-1 has the eigenvalue
+        ratio of the same leaf of W, which __init__ checked against eps_pd.
+        """
+        inv = object.__new__(type(self))
+        inv._adopt(self.inverse_field, self.field, self.eps_pd, None)
+        return inv
 
     @property
     def depth(self) -> int:
@@ -151,17 +165,19 @@ def scalar_direction_weight(weight: MatrixWeight, e: np.ndarray) -> GridScalar:
 def fujii_wilson_constant(w: GridScalar) -> float:
     """sup_I <M_I w>_I / <w>_I with M_I the dyadic maximal function localized to I.
 
-    One top-down running-max pass per root level: O(N^2 2^N) total.
+    One bottom-up pass from the leaves to the root, O(N 2^N) total: after
+    root level r is folded in, running[x] is the largest average over the
+    intervals of level >= r that contain x, i.e. M_I w(x) for the interval I
+    of level r that contains x.
     """
     if np.any(w.values <= 0.0):
         raise ValueError("weight must be positive")
     tree = w.average_tree()
     depth = w.depth
     best = 1.0
-    for root_level in range(depth + 1):
-        running = np.repeat(tree[root_level], 1 << (depth - root_level))
-        for level in range(root_level + 1, depth + 1):
-            running = np.maximum(running, np.repeat(tree[level], 1 << (depth - level)))
+    running = tree[depth]
+    for root_level in range(depth, -1, -1):
+        running = np.maximum(running, np.repeat(tree[root_level], 1 << (depth - root_level)))
         maximal_means = running.reshape(1 << root_level, -1).mean(axis=1)
         best = max(best, float(np.max(maximal_means / tree[root_level])))
     return best
@@ -229,9 +245,16 @@ def ainfty_characteristic(weight: MatrixWeight, n_directions: int, seed: int = 0
     """Sampled matrix A-infinity characteristic sup_e [W_e]_{A_infinity}.
 
     A lower bound of the true supremum over directions; exact for d = 1.
+    W_e = W_{-e} holds bit for bit, so a direction equal to -u for an already
+    evaluated u is skipped, as is an exact repeat.
     """
     best = 1.0
+    seen: set[tuple[float, ...]] = set()
     for e in ainfty_directions(weight, n_directions, seed):
+        key = tuple(e.tolist())
+        if key in seen:
+            continue
+        seen.update((key, tuple((-e).tolist())))
         best = max(best, fujii_wilson_constant(scalar_direction_weight(weight, e)))
     return best
 

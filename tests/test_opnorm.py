@@ -38,6 +38,18 @@ def test_apply_form_matches_quadratic_form():
     assert abs(pairing - sw_norm_squared(w, f).total) <= 1e-10
 
 
+def test_power_step_analyzes_each_iterate_once(monkeypatch):
+    import matw.opnorm as mopnorm
+    calls = []
+    original = mopnorm.analyze
+    monkeypatch.setattr(mopnorm, "analyze", lambda f: calls.append(f) or original(f))
+    w = generate_weight(WeightFamilySpec("random_log_pd", 2, 5, parameter=1.0, seed=9))
+    est = estimate_operator_norm(w)
+    # the start vector plus one analysis per step; the final Rayleigh quotient
+    # goes through haar.sw_norm_squared
+    assert len(calls) == est.iters + 1
+
+
 def test_power_iteration_agrees_with_dense_solver():
     cases = [(1, 6), (2, 5), (2, 4), (4, 3), (1, 3), (3, 4)]
     rng = np.random.default_rng(43)

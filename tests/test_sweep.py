@@ -1,6 +1,7 @@
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from matw.sweep import (ExperimentConfig, SweepRecord, csv_bytes, emit_csv,
@@ -135,3 +136,20 @@ def test_run_record_identity():
     assert not rec.error
     assert rec.power_converged
     assert abs(rec.sw_normsq_est - 1.0) <= 1e-9
+
+
+def test_run_record_and_certify_write_nothing_to_stdout(capfd):
+    # callers such as the benchmark read their result from the last stdout
+    # line; capfd also sees writes from native code and child processes
+    from matw.sparse import certify
+    from matw.weights import WeightFamilySpec, generate_weight
+    from _oracles import random_grid_vector
+
+    cfg = small_config(grid=(0.5,), seeds=(0,))
+    rec = run_record(cfg, 0.5, 0)
+    assert not rec.error
+    w = generate_weight(WeightFamilySpec("random_log_pd", 2, 5, parameter=1.0, seed=2))
+    f = random_grid_vector(5, 2, np.random.default_rng(3))
+    certify(w, f, cfg.stopping_config())
+    out, _ = capfd.readouterr()
+    assert out == ""

@@ -101,11 +101,16 @@ def test_fujii_wilson_two_cell_hand_value():
 
 def test_fujii_wilson_matches_brute_force():
     rng = np.random.default_rng(6)
+    cases = []
     for _ in range(25):
         depth = int(rng.integers(1, 6))
-        vals = np.exp(rng.uniform(-2.5, 2.5, 1 << depth))
+        cases.append((depth, np.exp(rng.uniform(-2.5, 2.5, 1 << depth))))
+    # the edges: the root alone, and a depth past the drawn ones
+    for depth in (0, 7):
+        cases.append((depth, np.exp(rng.uniform(-2.5, 2.5, 1 << depth))))
+    for depth, vals in cases:
         fast = fujii_wilson_constant(GridScalar(depth, vals))
-        assert abs(fast - brute_fujii_wilson(vals, depth)) <= 1e-11 * fast
+        assert abs(fast - brute_fujii_wilson(vals, depth)) <= 1e-11 * fast, depth
 
 
 def test_scalar_power_characteristics_match_brute_force():
@@ -155,6 +160,36 @@ def test_ainfty_scalar_case_is_exact_fujii_wilson():
     expected = fujii_wilson_constant(GridScalar(3, np.exp(np.linspace(-1, 2, 8))))
     for n_dirs in (2, 8, 32):
         assert abs(ainfty_characteristic(w, n_dirs) - expected) <= 1e-12
+
+
+def test_ainfty_evaluates_each_direction_once_up_to_sign(monkeypatch):
+    # for d = 1 every direction is +1 or -1, and W_e = W_{-e}
+    import matw.weights as mweights
+    calls = []
+    original = mweights.fujii_wilson_constant
+    monkeypatch.setattr(mweights, "fujii_wilson_constant",
+                        lambda w: calls.append(w) or original(w))
+    w = scalar_weight(4, np.exp(np.linspace(-1, 2, 16)))
+    assert len(ainfty_directions(w, 8)) == 8
+    ainfty_characteristic(w, 8)
+    assert len(calls) == 1
+
+
+def test_inverse_weight_swaps_fields_without_changing_ainfty():
+    specs = [WeightFamilySpec("identity", 2, 5),
+             WeightFamilySpec("scalar_power", 2, 5, parameter=0.6),
+             WeightFamilySpec("block_scalar", 2, 5, parameter=0.6),
+             WeightFamilySpec("rotating", 2, 5, parameter=1.5),
+             WeightFamilySpec("random_log_pd", 2, 5, parameter=1.2, seed=4)]
+    for spec in specs:
+        w = generate_weight(spec)
+        inv = w.inverse()
+        assert inv.field is w.inverse_field and inv.inverse_field is w.field
+        assert inv.eps_pd == w.eps_pd
+        rebuilt = MatrixWeight(w.inverse_field, eps_pd=w.eps_pd)
+        for seed in (0, 3):
+            assert (ainfty_characteristic(inv, 8, seed=seed)
+                    == ainfty_characteristic(rebuilt, 8, seed=seed)), spec.kind
 
 
 def test_ainfty_block_diagonal_attained_at_coordinate():
