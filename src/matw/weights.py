@@ -165,10 +165,8 @@ def scalar_direction_weight(weight: MatrixWeight, e: np.ndarray) -> GridScalar:
 def fujii_wilson_constant(w: GridScalar) -> float:
     """sup_I <M_I w>_I / <w>_I with M_I the dyadic maximal function localized to I.
 
-    One bottom-up pass from the leaves to the root, O(N 2^N) total: after
-    root level r is folded in, running[x] is the largest average over the
-    intervals of level >= r that contain x, i.e. M_I w(x) for the interval I
-    of level r that contains x.
+    One bottom-up pass, O(N 2^N) total: once root level r is folded in,
+    running[x] = M_I w(x) for the interval I of level r that contains x.
     """
     if np.any(w.values <= 0.0):
         raise ValueError("weight must be positive")

@@ -4,8 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from matw.sparse import certify
 from matw.sweep import (ExperimentConfig, SweepRecord, csv_bytes, emit_csv,
                         loglog_slope, run_record, run_sweep, sweep_metadata)
+from matw.weights import WeightFamilySpec, generate_weight
+
+from _oracles import random_grid_vector
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -141,10 +145,6 @@ def test_run_record_identity():
 def test_run_record_and_certify_write_nothing_to_stdout(capfd):
     # callers such as the benchmark read their result from the last stdout
     # line; capfd also sees writes from native code and child processes
-    from matw.sparse import certify
-    from matw.weights import WeightFamilySpec, generate_weight
-    from _oracles import random_grid_vector
-
     cfg = small_config(grid=(0.5,), seeds=(0,))
     rec = run_record(cfg, 0.5, 0)
     assert not rec.error
