@@ -2,7 +2,9 @@
 
 The environment variable MATW_SEED, when set, overrides every seed in the
 invocation (CLI flags and sweep config files alike) so CI runs are pinned.
-Exit status is 0 only if every verification performed by the invocation passed.
+Exit status is 0 only if every verification performed by the invocation passed,
+1 if one failed, and 2 if an input could not be used; the last case prints one
+line, "matw <command>: <reason>", on stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _resolve_seed(seed: int) -> int:
 def _load_vector(path: str) -> GridVector:
     field = load_field(path)
     if not isinstance(field, GridVector):
-        raise SystemExit(f"{path} does not hold a grid vector")
+        raise ValueError(f"{path} does not hold a grid vector")
     return field
 
 
@@ -181,9 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return f"missing key {exc}"
+    return " ".join(str(exc).split())
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError) as exc:
+        parser.exit(2, f"matw {args.command}: {_reason(exc)}\n")
 
 
 if __name__ == "__main__":

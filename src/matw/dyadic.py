@@ -61,19 +61,6 @@ class DyadicInterval:
 ROOT = DyadicInterval(0, 0)
 
 
-def children(interval: DyadicInterval, depth: int) -> tuple[DyadicInterval, DyadicInterval]:
-    """The two halves of an interval, returned (left, right).
-
-    The Haar function attached to the interval is positive on the left half.
-    """
-    if interval.level >= depth:
-        raise ValueError("leaf has no children")
-    return (
-        DyadicInterval(interval.level + 1, 2 * interval.index),
-        DyadicInterval(interval.level + 1, 2 * interval.index + 1),
-    )
-
-
 def _build_average_tree(leaf_values: np.ndarray, depth: int) -> list[np.ndarray]:
     """Per-level averages, bottom up: tree[k][j] = mean over leaves under (k, j)."""
     tree = [None] * (depth + 1)
@@ -182,11 +169,6 @@ class GridMatrixField(_GridField):
         depth, dim = int(obj["depth"]), int(obj["dim"])
         flat = np.asarray(obj["values"], dtype=float)
         return GridMatrixField(depth, dim, flat.reshape(1 << depth, dim, dim))
-
-
-def average(field: _GridField, interval: DyadicInterval):
-    """Average of a grid field over a dyadic interval (exact linear aggregation)."""
-    return field.average(interval)
 
 
 _FIELD_SCHEMAS = {

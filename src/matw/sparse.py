@@ -196,15 +196,6 @@ class _GenerationScan:
         return float(self.norms[interval.level][interval.index - self.offsets[interval.level]])
 
 
-def stopping_children(root: DyadicInterval, weight: MatrixWeight, f,
-                      cfg: StoppingConfig) -> list[tuple[DyadicInterval, str]]:
-    """Maximal intervals strictly inside `root` violating either stopping condition."""
-    if root.level >= weight.depth:
-        return []
-    scan = _GenerationScan(weight, analyze(f), f.values, root, cfg)
-    return scan.stopping_intervals()
-
-
 def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseFamily:
     """Iterate the stopping construction generation by generation from the root."""
     coeffs = analyze(f)

@@ -83,9 +83,6 @@ class MatrixWeight:
     def average(self, interval: DyadicInterval) -> np.ndarray:
         return self.field.average(interval)
 
-    def inverse_average(self, interval: DyadicInterval) -> np.ndarray:
-        return self.inverse_field.average(interval)
-
     def level_averages(self, level: int) -> np.ndarray:
         return self.field.level_averages(level)
 
@@ -137,17 +134,6 @@ def a2_characteristic(weight: MatrixWeight) -> float:
         norms = operator_norm_stack(sqrt_w @ sqrt_winv)
         best = max(best, float(np.max(norms)))
     return best * best
-
-
-def scalar_a2_characteristic(w: GridScalar) -> float:
-    """Scalar A2 characteristic sup_I <w>_I <w^-1>_I, all values required positive."""
-    if np.any(w.values <= 0.0):
-        raise ValueError("scalar weight must be positive")
-    winv = GridScalar(w.depth, 1.0 / w.values)
-    best = 0.0
-    for level in range(w.depth + 1):
-        best = max(best, float(np.max(w.level_averages(level) * winv.level_averages(level))))
-    return best
 
 
 def scalar_direction_weight(weight: MatrixWeight, e: np.ndarray) -> GridScalar:

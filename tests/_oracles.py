@@ -1,13 +1,21 @@
-"""Independent reference computations the tests check the library against.
+"""Reference computations the tests check the library against.
 
-Everything here is deliberately naive: direct leaf summation, dense matrix
-assembly, plain power iteration. None of it shares code with the library
-paths it oracles.
+Most are deliberately naive and share no code with the library: direct leaf
+summation, dense matrix assembly from directly summed averages, plain power
+iteration. The exceptions start from `matw.haar.analyze`: the martingale
+transform (which also calls `synthesize`), sign enumeration, Monte Carlo and
+the unweighted square function; `stopping_children` runs the library's own
+generation scan. `test_analyze_matches_haar_inner_products` pins `analyze`
+against `haar_leaf_values` coefficient by coefficient.
 """
 
 import numpy as np
 
-from matw.dyadic import DyadicInterval, GridVector
+from matw.dyadic import DyadicInterval, GridScalar, GridVector
+from matw.haar import HaarCoefficients, analyze, synthesize
+from matw.sparse import _GenerationScan
+
+ENUMERATION_CAP = 22
 
 
 def direct_average(values: np.ndarray, depth: int, interval: DyadicInterval):
@@ -89,7 +97,7 @@ def dense_forms(weight) -> tuple[np.ndarray, np.ndarray]:
     for level in range(depth):
         for index in range(1 << level):
             h = haar_leaf_values(depth, level, index) * leaf
-            avg = weight.average(DyadicInterval(level, index))
+            avg = direct_average(weight.field.values, depth, DyadicInterval(level, index))
             q += np.kron(np.outer(h, h), avg)
     p = np.zeros((n * d, n * d))
     for k in range(n):
@@ -109,3 +117,160 @@ def dense_top_generalized_eigenvalue(weight) -> float:
 def random_grid_vector(depth: int, dim: int, rng: np.random.Generator,
                        scale: float = 1.0) -> GridVector:
     return GridVector(depth, dim, scale * rng.standard_normal(((1 << depth), dim)))
+
+
+def children(interval: DyadicInterval, depth: int) -> tuple[DyadicInterval, DyadicInterval]:
+    """The two halves of an interval, returned (left, right).
+
+    The Haar function attached to the interval is positive on the left half.
+    """
+    if interval.level >= depth:
+        raise ValueError("leaf has no children")
+    return (
+        DyadicInterval(interval.level + 1, 2 * interval.index),
+        DyadicInterval(interval.level + 1, 2 * interval.index + 1),
+    )
+
+
+def stopping_children(root: DyadicInterval, weight, f, cfg) -> list[tuple[DyadicInterval, str]]:
+    """Maximal intervals strictly inside `root` violating either stopping condition."""
+    if root.level >= weight.depth:
+        return []
+    scan = _GenerationScan(weight, analyze(f), f.values, root, cfg)
+    return scan.stopping_intervals()
+
+
+class SignPattern:
+    """Choice of sign +-1 for every Haar interval, complete over levels 0..N-1."""
+
+    def __init__(self, depth: int, levels: list[np.ndarray]):
+        if len(levels) != depth:
+            raise ValueError("incomplete sign pattern")
+        checked = []
+        for k, arr in enumerate(levels):
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != (1 << k,) or not np.all(np.abs(arr) == 1.0):
+                raise ValueError("incomplete sign pattern")
+            checked.append(arr)
+        self.depth = depth
+        self.levels = checked
+
+    @staticmethod
+    def constant(depth: int, sign: int = 1) -> "SignPattern":
+        return SignPattern(depth, [np.full(1 << k, float(sign)) for k in range(depth)])
+
+    @staticmethod
+    def from_flat(depth: int, flat: np.ndarray) -> "SignPattern":
+        """Breadth-first flat array of +-1, one entry per Haar interval."""
+        levels, pos = [], 0
+        for k in range(depth):
+            levels.append(np.asarray(flat[pos:pos + (1 << k)], dtype=float))
+            pos += 1 << k
+        return SignPattern(depth, levels)
+
+    @staticmethod
+    def random(depth: int, seed: int, sample_index: int = 0) -> "SignPattern":
+        bits = _sign_bits(depth, seed, sample_index)
+        return SignPattern.from_flat(depth, 1.0 - 2.0 * bits)
+
+
+def _sign_bits(depth: int, seed: int, sample_index: int) -> np.ndarray:
+    """One unbiased bit per Haar interval from a counter-based generator.
+
+    Keyed on (seed, sample_index) so parallel sampling cannot change results.
+    """
+    count = (1 << depth) - 1
+    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), sample_index]))
+    return gen.integers(0, 2, size=count).astype(float)
+
+
+def martingale_transform(f: GridVector, signs: SignPattern) -> GridVector:
+    """T f = sum_I sigma_I (f, h_I) h_I; the mean term is dropped."""
+    if signs.depth != f.depth:
+        raise ValueError("incomplete sign pattern")
+    coeffs = analyze(f)
+    flipped = [c * s[:, None] for c, s in zip(coeffs.levels, signs.levels)]
+    return synthesize(HaarCoefficients(f.depth, f.dim, coeffs.mean, flipped), include_mean=False)
+
+
+def unweighted_square_function_sq(g: GridVector) -> GridScalar:
+    """Pointwise S^2 g = sum over intervals containing x of ||(g,h_I)||^2 / |I|."""
+    out = np.zeros(g.n_leaves)
+    for k, c in enumerate(analyze(g).levels):
+        out += np.repeat(np.sum(c * c, axis=1) * 2.0**k, 1 << (g.depth - k))
+    return GridScalar(g.depth, out)
+
+
+def unweighted_square_function(g: GridVector) -> GridScalar:
+    """Pointwise square function S g, the root of the primary squared output."""
+    return GridScalar(g.depth, np.sqrt(unweighted_square_function_sq(g).values))
+
+
+def _haar_leaf_tensor(coeffs: HaarCoefficients) -> np.ndarray:
+    """Per-interval leaf contributions c_I h_I(x), stacked breadth first: (M, n, d)."""
+    depth, dim = coeffs.depth, coeffs.dim
+    n = 1 << depth
+    rows = []
+    for k, c in enumerate(coeffs.levels):
+        amp = 2.0 ** (k / 2.0)
+        half = 1 << (depth - k - 1)
+        for j in range(1 << k):
+            row = np.zeros((n, dim))
+            row[2 * j * half:(2 * j + 1) * half] = c[j] * amp
+            row[(2 * j + 1) * half:(2 * j + 2) * half] = -c[j] * amp
+            rows.append(row)
+    return np.array(rows) if rows else np.zeros((0, n, dim))
+
+
+def _transform_energies(sign_batch: np.ndarray, leaf_tensor: np.ndarray,
+                        weight) -> np.ndarray:
+    """integral <W T_sigma f, T_sigma f> for a batch of sign patterns."""
+    transformed = np.einsum("bm,mnd->bnd", sign_batch, leaf_tensor)
+    vals = np.einsum("bnd,nde,bne->b", transformed, weight.field.values, transformed)
+    return vals * 2.0 ** -weight.depth
+
+
+def sw_sign_enumeration(weight, f: GridVector, chunk: int = 4096) -> float:
+    """Exact expectation of integral ||W^{1/2} T_sigma f||^2 over all sign patterns.
+
+    Walks every one of the 2^M patterns; independent of the closed-form sum,
+    which it must reproduce to roundoff.
+    """
+    if weight.depth != f.depth or weight.dim != f.dim:
+        raise ValueError("weight and function dimensions do not match")
+    m = (1 << f.depth) - 1
+    if m > ENUMERATION_CAP:
+        raise ValueError(
+            f"{m} Haar intervals exceed the enumeration cap {ENUMERATION_CAP}; use sw_monte_carlo")
+    leaf_tensor = _haar_leaf_tensor(analyze(f))
+    if m == 0:
+        return 0.0
+    shifts = np.arange(m, dtype=np.uint64)
+    total = 0.0
+    for start in range(0, 1 << m, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << m), dtype=np.uint64)
+        signs = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
+        total += float(np.sum(_transform_energies(signs, leaf_tensor, weight)))
+    return total / float(1 << m)
+
+
+def sw_monte_carlo(weight, f: GridVector, n_samples: int,
+                   seed: int = 0) -> tuple[float, float]:
+    """Sample mean and standard error of integral ||W^{1/2} T_sigma f||^2.
+
+    Sample i draws its signs from a generator keyed on (seed, i).
+    """
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
+    m = (1 << f.depth) - 1
+    leaf_tensor = _haar_leaf_tensor(analyze(f))
+    signs = np.empty((n_samples, m))
+    for i in range(n_samples):
+        signs[i] = 1.0 - 2.0 * _sign_bits(f.depth, seed, i)
+    vals = np.concatenate([
+        _transform_energies(signs[s:s + 4096], leaf_tensor, weight)
+        for s in range(0, n_samples, 4096)
+    ]) if m else np.zeros(n_samples)
+    mean = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
+    return mean, stderr

@@ -13,9 +13,7 @@ import pytest
 
 from matw.cli import main as cli_main
 from matw.dyadic import GridScalar, GridVector, save_field
-from matw.haar import (SignPattern, l2_norm_sq, martingale_transform,
-                       sw_norm_squared, sw_sign_enumeration,
-                       unweighted_square_function_sq)
+from matw.haar import sw_norm_squared
 from matw.opnorm import PowerIterationOptions, estimate_operator_norm
 from matw.sparse import (build_sparse_family, default_stopping_config,
                          verify_domination, verify_maximality, verify_sparseness)
@@ -25,7 +23,9 @@ from matw.weights import (WeightFamilySpec, a2_characteristic,
                           matrix_weight_from_scalar)
 
 from _instances import random_instance
-from _oracles import dense_top_generalized_eigenvalue, random_grid_vector
+from _oracles import (SignPattern, dense_top_generalized_eigenvalue, direct_l2_sq,
+                      martingale_transform, random_grid_vector, sw_sign_enumeration,
+                      unweighted_square_function_sq)
 
 
 def report(name, ok, detail=""):
@@ -99,9 +99,9 @@ def test_03_martingale_isometry():
         dim = int(rng.integers(1, 5))
         f = random_grid_vector(depth, dim, rng)
         transformed = martingale_transform(f, SignPattern.random(depth, seed=i))
-        lhs = math.sqrt(l2_norm_sq(transformed))
+        lhs = math.sqrt(direct_l2_sq(transformed.values, depth))
         mean_free = GridVector(depth, dim, f.values - f.values.mean(axis=0))
-        rhs = math.sqrt(l2_norm_sq(mean_free))
+        rhs = math.sqrt(direct_l2_sq(mean_free.values, depth))
         worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
     report("martingale_isometry", worst <= 1e-10,
            f"worst_rel_err={worst:.3e} (100 instances, N<=12, d<=4)")

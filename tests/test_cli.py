@@ -115,3 +115,22 @@ def test_sparse_exit_code_tracks_verification(tmp_path, capsys):
 def test_swnorm_rejects_weight_file_as_function(weight_file, capsys):
     with pytest.raises(SystemExit):
         main(["swnorm", weight_file, "--f", weight_file])
+
+
+@pytest.mark.parametrize("name, text", [
+    ("missing.json", None),
+    ("not_json.json", "not json"),
+    ("no_dim.json", json.dumps({"depth": 3, "values": [[float(i)] for i in range(8)]})),
+    ("wrong_depth.json", json.dumps({"depth": 2, "dim": 1,
+                                     "values": [[float(i)] for i in range(8)]})),
+], ids=["missing", "not_json", "no_dim", "wrong_depth"])
+def test_bad_input_file_exits_2_with_one_line(weight_file, tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["swnorm", weight_file, "--f", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("matw swnorm: ") and err.endswith("\n") and err.count("\n") == 1

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matw.dyadic import ROOT, DyadicInterval, GridMatrixField, GridScalar, GridVector
-from matw.haar import (SignPattern, analyze, l2_norm_sq, martingale_transform,
-                       s3w_norm_squared, sw_monte_carlo, sw_norm_squared,
-                       sw_sign_enumeration, synthesize,
-                       unweighted_square_function, unweighted_square_function_sq)
+from matw.haar import analyze, s3w_norm_squared, sw_norm_squared, synthesize
 from matw.weights import MatrixWeight, WeightFamilySpec, generate_weight, matrix_weight_from_scalar
 
-from _oracles import direct_l2_sq, random_grid_vector
+from _oracles import (SignPattern, direct_l2_sq, haar_leaf_values, martingale_transform,
+                      random_grid_vector, sw_monte_carlo, sw_sign_enumeration,
+                      unweighted_square_function, unweighted_square_function_sq)
 
 
 def scalar_weight(depth, values):
@@ -32,11 +31,25 @@ def test_analyze_two_cell_coefficient():
     assert coeffs[ROOT][0] == 1.0
 
 
-def test_coefficient_access_and_count():
+def test_coefficient_access_rejects_leaf_level():
     coeffs = analyze(random_grid_vector(3, 2, np.random.default_rng(0)))
-    assert coeffs.coefficient_count() == 7
     with pytest.raises(KeyError):
         coeffs[DyadicInterval(3, 0)]
+
+
+def test_analyze_matches_haar_inner_products():
+    # Parseval and the synthesize round trip would survive a consistent
+    # permutation or sign flip within a level; this pins each c_I to (f, h_I).
+    rng = np.random.default_rng(36)
+    for depth in range(7):
+        for dim in (1, 3):
+            f = random_grid_vector(depth, dim, rng)
+            coeffs = analyze(f)
+            assert len(coeffs.levels) == depth
+            for level in range(depth):
+                for j in range(1 << level):
+                    direct = haar_leaf_values(depth, level, j) @ f.values * 2.0**-depth
+                    assert np.max(np.abs(coeffs.levels[level][j] - direct)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,7 +96,8 @@ def test_martingale_transform_is_isometry():
         signs = SignPattern.random(depth, seed=i)
         out = martingale_transform(f, signs)
         mean_free_norm = direct_l2_sq(f.values - f.values.mean(axis=0), depth)
-        assert abs(l2_norm_sq(out) - mean_free_norm) <= 1e-10 * max(1.0, mean_free_norm)
+        out_norm = direct_l2_sq(out.values, depth)
+        assert abs(out_norm - mean_free_norm) <= 1e-10 * max(1.0, mean_free_norm)
 
 
 def test_incomplete_sign_pattern_rejected():

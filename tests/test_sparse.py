@@ -5,17 +5,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from matw.dyadic import ROOT, DyadicInterval, GridScalar, GridVector, children
+from matw.dyadic import ROOT, DyadicInterval, GridScalar, GridVector
 from matw.haar import sw_norm_squared
 from matw.sparse import (SparseFamily, SparseNode, StoppingConfig, recheck_certificate,
                          build_sparse_family, certify, default_stopping_config,
-                         stopping_children, verify_domination, verify_maximality,
-                         verify_sparseness, verify_type1_trace_bound,
-                         verify_type2_weak_bound)
+                         verify_domination, verify_maximality, verify_sparseness,
+                         verify_type1_trace_bound, verify_type2_weak_bound)
 from matw.weights import WeightFamilySpec, generate_weight, matrix_weight_from_scalar
 
 from _instances import random_instance
-from _oracles import random_grid_vector
+from _oracles import children, random_grid_vector, stopping_children
 
 
 def scalar_weight(depth, values):
