@@ -179,10 +179,20 @@ _FIELD_SCHEMAS = {
 }
 
 
-def load_field(path: str):
-    """Read a grid field (scalar, vector, or matrix) from a JSON file."""
+def read_grid_json(path: str) -> dict:
+    """The JSON object of a grid file; ValueError unless it is one with a values list."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if not isinstance(obj.get("values"), list):
+        raise ValueError("'values' must be a list of leaf values")
+    return obj
+
+
+def load_field(path: str):
+    """Read a grid field (scalar, vector, or matrix) from a JSON file."""
+    obj = read_grid_json(path)
     schema = obj.get("schema")
     if schema in _FIELD_SCHEMAS:
         return _FIELD_SCHEMAS[schema](obj)

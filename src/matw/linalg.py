@@ -72,6 +72,18 @@ def operator_norm_stack(ms: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(ms, dtype=float), compute_uv=False)[:, 0]
 
 
+def top_eigenvalue_stack(ms: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric matrix (lower triangle read) in a stack (n, d, d).
+    Raises on non-finite input or output: a NaN would slip through a running max."""
+    ms = np.asarray(ms, dtype=float)
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("non-finite entries in stacked input")
+    tops = np.linalg.eigvalsh(ms)[:, -1]
+    if not np.all(np.isfinite(tops)):
+        raise ValueError("non-finite eigenvalue in stacked input")
+    return tops
+
+
 def hs_norm(m: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     m = np.asarray(m, dtype=float)

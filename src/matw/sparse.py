@@ -2,7 +2,8 @@
 
 Starting from the root, descend the dyadic tree and stop at the maximal
 intervals L where either
-  (1) || <W>_L^{1/2} <W>_R^{-1/2} || exceeds C1 against the current root R, or
+  (1) || <W>_L^{1/2} <W>_R^{-1/2} ||, the square root of the top eigenvalue of
+      <W>_R^{-1/2} <W>_L <W>_R^{-1/2}, exceeds C1 against the current root R, or
   (2) the running sum over the chain R down to L of
       || <W>_R^{1/2} (f, h_I) ||^2 / |I| exceeds C2 <|| <W>_R^{1/2} f ||>_R^2.
 Each stopping interval becomes the root of the next generation, with both
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dyadic import ROOT, DyadicInterval
 from .haar import HaarCoefficients, analyze, s3w_norm_squared, sw_norm_squared
-from .linalg import hs_norm, operator_norm, operator_norm_stack, psd_power, trace_of
+from .linalg import hs_norm, operator_norm, psd_power, top_eigenvalue_stack, trace_of
 from .weights import MatrixWeight
 
 DOMINATION_SLACK = 1e-9
@@ -162,8 +163,8 @@ class _GenerationScan:
             else:
                 q = np.zeros(hi - lo)
             chain = np.repeat(chain_prev, 2) + q
-            sqrt_w = weight.sqrt_level_averages(level)[lo:hi]
-            norms = operator_norm_stack(sqrt_w @ self.inv_sqrt_root)
+            sandwich = self.inv_sqrt_root @ weight.level_averages(level)[lo:hi] @ self.inv_sqrt_root
+            norms = np.sqrt(top_eigenvalue_stack(sandwich))
             cond1 = norms > cfg.c1
             cond2 = chain > self.threshold
             triggered = cond1 | cond2

@@ -20,8 +20,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dyadic import DyadicInterval, GridMatrixField, GridScalar
-from .linalg import EPS_PD, PSD_TOL, operator_norm_stack, psd_power_stack
+from .dyadic import DyadicInterval, GridMatrixField, GridScalar, read_grid_json
+from .linalg import EPS_PD, PSD_TOL, psd_power_stack, top_eigenvalue_stack
 
 FAMILY_KINDS = ("identity", "scalar_power", "block_scalar", "rotating", "random_log_pd")
 
@@ -86,9 +86,6 @@ class MatrixWeight:
     def level_averages(self, level: int) -> np.ndarray:
         return self.field.level_averages(level)
 
-    def inverse_level_averages(self, level: int) -> np.ndarray:
-        return self.inverse_field.level_averages(level)
-
     def sqrt_level_averages(self, level: int) -> np.ndarray:
         """<W>_I^{1/2} for every interval at one level, cached."""
         if level not in self._sqrt_levels:
@@ -112,8 +109,7 @@ def save_weight(weight: MatrixWeight, path: str) -> None:
 
 
 def load_weight(path: str) -> MatrixWeight:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_grid_json(path)
     meta = obj.get("metadata", {})
     field = GridMatrixField.from_json_dict(obj)
     eps_pd = float(meta.get("eps_pd", EPS_PD))
@@ -126,14 +122,14 @@ def matrix_weight_from_scalar(w: GridScalar, eps_pd: float = EPS_PD) -> MatrixWe
 
 
 def a2_characteristic(weight: MatrixWeight) -> float:
-    """sup over all dyadic intervals of ||<W>_I^{1/2} <W^-1>_I^{1/2}||^2."""
+    """sup over all dyadic intervals of ||<W>_I^{1/2} <W^-1>_I^{1/2}||^2, each
+    the top eigenvalue of <W>_I^{1/2} <W^-1>_I <W>_I^{1/2}."""
     best = 0.0
     for level in range(weight.depth + 1):
         sqrt_w = weight.sqrt_level_averages(level)
-        sqrt_winv = psd_power_stack(weight.inverse_level_averages(level), 0.5)
-        norms = operator_norm_stack(sqrt_w @ sqrt_winv)
-        best = max(best, float(np.max(norms)))
-    return best * best
+        sandwich = sqrt_w @ weight.inverse_field.level_averages(level) @ sqrt_w
+        best = max(best, float(np.max(top_eigenvalue_stack(sandwich))))
+    return best
 
 
 def scalar_direction_weight(weight: MatrixWeight, e: np.ndarray) -> GridScalar:

@@ -58,6 +58,26 @@ def brute_scalar_a2(w: np.ndarray, depth: int) -> float:
     return best
 
 
+def _eigh_power(m: np.ndarray, p: float) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.maximum(vals, 0.0) ** p) @ vecs.T
+
+
+def brute_matrix_a2(values: np.ndarray, depth: int) -> float:
+    """A2 interval by interval: directly summed averages of W and of its leafwise
+    inverse, their square roots by one eigh each, then the squared largest
+    singular value of the product. No average tree, no cached roots."""
+    inverse = np.array([_eigh_power(m, -1.0) for m in values])
+    best = 0.0
+    for level in range(depth + 1):
+        for j in range(1 << level):
+            iv = DyadicInterval(level, j)
+            prod = (_eigh_power(direct_average(values, depth, iv), 0.5)
+                    @ _eigh_power(direct_average(inverse, depth, iv), 0.5))
+            best = max(best, float(np.linalg.svd(prod, compute_uv=False)[0]) ** 2)
+    return best
+
+
 def matrix_power_iteration_norm(m: np.ndarray, iters: int = 5000, tol: float = 1e-13) -> float:
     """Largest singular value by plain power iteration on m^T m."""
     gram = m.T @ m

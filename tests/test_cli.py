@@ -123,7 +123,9 @@ def test_swnorm_rejects_weight_file_as_function(weight_file, capsys):
     ("no_dim.json", json.dumps({"depth": 3, "values": [[float(i)] for i in range(8)]})),
     ("wrong_depth.json", json.dumps({"depth": 2, "dim": 1,
                                      "values": [[float(i)] for i in range(8)]})),
-], ids=["missing", "not_json", "no_dim", "wrong_depth"])
+    ("top_level_list.json", json.dumps([[0.0], [1.0]])),
+    ("null_values.json", json.dumps({"depth": 1, "dim": 1, "values": None})),
+], ids=["missing", "not_json", "no_dim", "wrong_depth", "top_level_list", "null_values"])
 def test_bad_input_file_exits_2_with_one_line(weight_file, tmp_path, capsys, name, text):
     path = tmp_path / name
     if text is not None:
@@ -134,3 +136,12 @@ def test_bad_input_file_exits_2_with_one_line(weight_file, tmp_path, capsys, nam
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("matw swnorm: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_a2_rejects_weight_file_that_is_a_list(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([[1.0], [2.0]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["a2", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "matw a2: expected a JSON object, got list\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matw.linalg import (hs_norm, operator_norm, psd_power, psd_power_stack,
-                         sym_eigen, trace_of)
+                         sym_eigen, top_eigenvalue_stack, trace_of)
 
 from _oracles import matrix_power_iteration_norm
 
@@ -91,6 +91,24 @@ def test_psd_power_stack_matches_single():
     stacked = psd_power_stack(ms, -0.5)
     for i in range(5):
         assert np.max(np.abs(stacked[i] - psd_power(ms[i], -0.5))) <= 1e-10
+
+
+def test_top_eigenvalue_stack_is_squared_norm_of_factor():
+    # lambda_max(A A^T) = ||A||^2 for every matrix in the stack, d = 1 included
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 4):
+        factors = rng.standard_normal((50, d, d))
+        tops = top_eigenvalue_stack(factors @ factors.transpose(0, 2, 1))
+        norms = np.array([operator_norm(a) for a in factors])
+        assert np.max(np.abs(tops - norms**2) / norms**2) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_top_eigenvalue_stack_rejects_non_finite(bad):
+    ms = np.tile(np.eye(2), (3, 1, 1))
+    ms[1, 1, 0] = ms[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        top_eigenvalue_stack(ms)
 
 
 def test_operator_norm_diagonal():

@@ -9,7 +9,7 @@ from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                           matrix_weight_from_scalar, save_weight, scalar_direction_weight,
                           scalar_power_leaf_values)
 
-from _oracles import brute_fujii_wilson, brute_scalar_a2
+from _oracles import brute_fujii_wilson, brute_matrix_a2, brute_scalar_a2
 
 # family-calibration regression value, frozen from this implementation
 GOLDEN_SCALAR_POWER_A2_N10_T05 = 877.428572041448
@@ -57,6 +57,35 @@ def test_scalar_a2_matches_matrix_route_and_brute_force():
         w = GridScalar(depth, vals)
         direct = brute_scalar_a2(vals, depth)
         assert abs(direct - a2_characteristic(matrix_weight_from_scalar(w))) <= 1e-10 * direct
+
+
+A2_ORACLE_CASES = {  # (dim, parameter) per family
+    "identity": [(d, 0.0) for d in (1, 2, 3, 4)],
+    "scalar_power": [(1, 0.5), (1, 0.9), (2, 0.5), (3, 0.3), (4, 0.2)],
+    "block_scalar": [(d, t) for d in (1, 2, 3, 4) for t in (0.3, 0.6)],
+    "rotating": [(2, 0.5), (2, 2.0)],
+    "random_log_pd": [(d, t) for d in (1, 2, 3, 4) for t in (0.5, 2.0)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(A2_ORACLE_CASES))
+def test_a2_matches_interval_by_interval_oracle(kind):
+    for dim, t in A2_ORACLE_CASES[kind]:
+        for depth in (0, 1, 4, 7):
+            w = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t, seed=depth))
+            ref = brute_matrix_a2(w.field.values, depth)
+            assert abs(a2_characteristic(w) - ref) <= 1e-12 * ref, (dim, t, depth)
+
+
+def test_a2_rejects_an_overflowing_level():
+    # level 1 holds <W> ~ 5e299 I and <W^-1> ~ 5e299 R diag(1, 1/2) R^T: the
+    # sandwich overflows, and an A2 that skipped that level would read ~1
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    leaves = [1e300 * np.eye(2), 1e-300 * rot @ np.diag([1.0, 2.0]) @ rot.T, np.eye(2), np.eye(2)]
+    w = MatrixWeight(GridMatrixField(2, 2, np.array(leaves)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        a2_characteristic(w)
 
 
 def test_direction_weight_identity():
