@@ -84,10 +84,9 @@ class SparseNode:
 class SparseFamily:
     """The stopping family of one instance (weight, f).
 
-    `scans` memoizes, on first use, the generation scan of every node with
-    children, so the verifiers scan each parent once between them. The memo
-    belongs to the instance the family was built from: pass only that weight
-    and function to the verifiers. It is not serialized or compared.
+    `scans` holds the generation scan that `build_sparse_family` made for
+    every node with children; the type-2 and maximality verifiers read their
+    chain sums, norms and thresholds from it. It is not serialized or compared.
     """
 
     depth: int
@@ -95,8 +94,8 @@ class SparseFamily:
     config: StoppingConfig
     nodes: dict[DyadicInterval, SparseNode]
     generations: list[list[DyadicInterval]]
-    _scans: dict[DyadicInterval, _GenerationScan] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    scans: dict[DyadicInterval, _GenerationScan] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def intervals(self) -> list[DyadicInterval]:
         return sorted(self.nodes)
@@ -111,15 +110,6 @@ class SparseFamily:
             "nodes": [self.nodes[iv].to_json_dict() for iv in self.intervals()],
             "generations": [[[iv.level, iv.index] for iv in sorted(gen)] for gen in self.generations],
         }
-
-    def scans(self, weight: MatrixWeight, f) -> dict[DyadicInterval, _GenerationScan]:
-        if not self._scans:
-            coeffs = analyze(f)
-            for interval, node in self.nodes.items():
-                if node.children:
-                    self._scans[interval] = _GenerationScan(weight, coeffs, f.values,
-                                                            interval, self.config)
-        return self._scans
 
 
 class _GenerationScan:
@@ -202,6 +192,7 @@ def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseF
     coeffs = analyze(f)
     root_node = SparseNode(ROOT, "root", None)
     nodes = {ROOT: root_node}
+    scans: dict[DyadicInterval, _GenerationScan] = {}
     generations = [[ROOT]]
     current = [ROOT]
     for _ in range(cfg.max_generations):
@@ -214,6 +205,8 @@ def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseF
                 nodes[interval] = SparseNode(interval, tag, parent)
                 nodes[parent].children.append(interval)
                 nxt.append(interval)
+            if nodes[parent].children:
+                scans[parent] = scan
         if not nxt:
             break
         generations.append(nxt)
@@ -223,7 +216,7 @@ def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseF
     for node in nodes.values():
         covered = sum(c.measure for c in node.children)
         node.e_ratio = (node.interval.measure - covered) / node.interval.measure
-    return SparseFamily(weight.depth, weight.dim, cfg, nodes, generations)
+    return SparseFamily(weight.depth, weight.dim, cfg, nodes, generations, scans)
 
 
 @dataclass
@@ -352,12 +345,11 @@ class WeakBoundReport:
                 "per_node": self.per_node}
 
 
-def verify_type2_weak_bound(family: SparseFamily, weight: MatrixWeight, f) -> WeakBoundReport:
+def verify_type2_weak_bound(family: SparseFamily) -> WeakBoundReport:
     """Sum-triggered children sit inside the super-level set of the localized
     square function of g = <W>_R^{1/2} f; their mass gives a lower estimate of
     the weak (1,1) norm of the square function, reported per node."""
     cfg = family.config
-    scans = family.scans(weight, f)
     rows, all_ok = [], True
     max_quotient = 0.0
     for parent in family.intervals():
@@ -365,8 +357,8 @@ def verify_type2_weak_bound(family: SparseFamily, weight: MatrixWeight, f) -> We
                 if family.node(c).trigger in ("type2", "both")]
         if not kids:
             continue
-        scan = scans[parent]
-        depth = weight.depth
+        scan = family.scans[parent]
+        depth = family.depth
         leaf_chain = scan.chains[depth]
         contained = True
         for k in kids:
@@ -398,12 +390,12 @@ class MaximalityReport:
         return {"ok": self.ok, "violations": self.violations}
 
 
-def verify_maximality(family: SparseFamily, weight: MatrixWeight, f) -> MaximalityReport:
+def verify_maximality(family: SparseFamily) -> MaximalityReport:
     """Every strict ancestor of a stopping child, within its generation,
     satisfies both conditions with <=."""
     cfg = family.config
     violations = []
-    for parent, scan in sorted(family.scans(weight, f).items()):
+    for parent, scan in sorted(family.scans.items()):
         for child in family.node(parent).children:
             ancestor = child.parent() if child.level > parent.level + 1 else None
             while ancestor is not None and ancestor != parent:
@@ -417,26 +409,22 @@ def verify_maximality(family: SparseFamily, weight: MatrixWeight, f) -> Maximali
     return MaximalityReport(not violations, violations)
 
 
+_REPORTS = ("sparseness", "domination", "type1_trace", "type2_weak", "maximality")
+
+
 def certify(weight: MatrixWeight, f, cfg: StoppingConfig) -> dict:
     """Build the family and recheck every inequality; self-contained report."""
     family = build_sparse_family(weight, f, cfg)
-    sparseness = verify_sparseness(family)
-    domination = verify_domination(weight, f, family)
-    type1 = verify_type1_trace_bound(family, weight)
-    type2 = verify_type2_weak_bound(family, weight, f)
-    maximality = verify_maximality(family, weight, f)
-    ok = all([sparseness.ok, domination.ok, type1.ok, type2.ok, maximality.ok])
+    reports = (verify_sparseness(family), verify_domination(weight, f, family),
+               verify_type1_trace_bound(family, weight), verify_type2_weak_bound(family),
+               verify_maximality(family))
     return {
         "schema": "matw.certificate/1",
-        "ok": ok,
+        "ok": all(report.ok for report in reports),
         "config": cfg.to_json_dict(),
         "instance": {"depth": weight.depth, "dim": weight.dim},
         "family": family.to_json_dict(),
-        "sparseness": sparseness.to_json_dict(),
-        "domination": domination.to_json_dict(),
-        "type1_trace": type1.to_json_dict(),
-        "type2_weak": type2.to_json_dict(),
-        "maximality": maximality.to_json_dict(),
+        **{name: report.to_json_dict() for name, report in zip(_REPORTS, reports)},
     }
 
 
@@ -447,40 +435,32 @@ def _config_from_json(obj: dict) -> StoppingConfig:
                           weak_type_budget=obj["weak_type_budget"])
 
 
+def _same(a, b) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def recheck_certificate(cert: dict, weight: MatrixWeight, f) -> dict:
     """Independently validate a certificate's claims against the raw instance.
 
-    Rebuilds the family from the instance under the certificate's own config
-    and requires it to equal the claimed family exactly: every node with its
-    trigger, parent, children and e_ratio, and every generation. Then every
-    reported inequality is recomputed from the instance data and compared with
-    the certificate's own numbers. Nothing is taken from the certifying
-    process.
+    Certifies the instance afresh under the certificate's own config and
+    requires the rebuilt family to equal the claimed one exactly: every node
+    with its trigger, parent, children and e_ratio, and every generation. Each
+    rebuilt report must pass and equal the certificate's own. Nothing is taken
+    from the certifying process.
     """
     cfg = _config_from_json(cert["config"])
     if cert["instance"]["depth"] != weight.depth or cert["instance"]["dim"] != weight.dim:
         return {"ok": False, "problems": ["instance shape does not match certificate"]}
 
+    rebuilt = certify(weight, f, cfg)
     problems: list[str] = []
-    family = build_sparse_family(weight, f, cfg)
-    claimed_family = json.dumps(cert["family"], sort_keys=True)
-    if json.dumps(family.to_json_dict(), sort_keys=True) != claimed_family:
+    if not _same(rebuilt["family"], cert["family"]):
         problems.append("family differs from the one rebuilt from the instance")
-    checks = {
-        "sparseness": (verify_sparseness(family).to_json_dict(), cert["sparseness"]),
-        "domination": (verify_domination(weight, f, family).to_json_dict(), cert["domination"]),
-        "type1_trace": (verify_type1_trace_bound(family, weight).to_json_dict(),
-                        cert["type1_trace"]),
-        "type2_weak": (verify_type2_weak_bound(family, weight, f).to_json_dict(),
-                       cert["type2_weak"]),
-        "maximality": (verify_maximality(family, weight, f).to_json_dict(),
-                       cert["maximality"]),
-    }
-    for name, (recomputed, claimed) in checks.items():
-        if not recomputed["ok"]:
+    for name in _REPORTS:
+        if not rebuilt[name]["ok"]:
             problems.append(f"{name} fails on recheck")
-        if json.dumps(recomputed, sort_keys=True) != json.dumps(claimed, sort_keys=True):
+        if not _same(rebuilt[name], cert[name]):
             problems.append(f"{name} report differs from certificate")
-    if bool(cert["ok"]) != all(cert[name]["ok"] for name in checks):
+    if bool(cert["ok"]) != all(cert[name]["ok"] for name in _REPORTS):
         problems.append("top-level ok flag inconsistent with sub-reports")
     return {"ok": not problems, "problems": problems}

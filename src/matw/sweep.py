@@ -95,14 +95,14 @@ def run_record(cfg: ExperimentConfig, t: float, seed: int) -> SweepRecord:
                                      rel_tol=cfg.power_rel_tol, seed=seed)
         est = estimate_operator_norm(weight, opts)
         rec.sw_normsq_est = est.value
-        rec.sw_normsq_lower = (sw_norm_squared(weight, est.witness).total
-                               / weighted_l2_sq(weight, est.witness))
+        witness_energy = weighted_l2_sq(weight, est.witness)
+        rec.sw_normsq_lower = sw_norm_squared(weight, est.witness).total / witness_energy
         rec.power_iters = est.iters
         rec.power_converged = est.converged
         family = build_sparse_family(weight, est.witness, cfg.stopping_config())
         dom = verify_domination(weight, est.witness, family)
         # witness is P-normalized, so rhs is already the per-unit-energy bound
-        rec.domination_rhs_at_witness = dom.rhs / weighted_l2_sq(weight, est.witness)
+        rec.domination_rhs_at_witness = dom.rhs / witness_energy
         rec.domination_ok = dom.ok
         norm = math.sqrt(rec.sw_normsq_est)
         rec.ratio_mixed_bound = norm / math.sqrt(rec.a2 * rec.ainf_winv_sampled)

@@ -111,6 +111,8 @@ def save_weight(weight: MatrixWeight, path: str) -> None:
 def load_weight(path: str) -> MatrixWeight:
     obj = read_grid_json(path)
     meta = obj.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"'metadata' must be a JSON object, got {type(meta).__name__}")
     field = GridMatrixField.from_json_dict(obj)
     eps_pd = float(meta.get("eps_pd", EPS_PD))
     return MatrixWeight(field, eps_pd=eps_pd, metadata={k: v for k, v in meta.items() if k != "eps_pd"})
@@ -127,7 +129,11 @@ def a2_characteristic(weight: MatrixWeight) -> float:
     best = 0.0
     for level in range(weight.depth + 1):
         sqrt_w = weight.sqrt_level_averages(level)
-        sandwich = sqrt_w @ weight.inverse_field.level_averages(level) @ sqrt_w
+        with np.errstate(over="ignore", invalid="ignore"):
+            sandwich = sqrt_w @ weight.inverse_field.level_averages(level) @ sqrt_w
+        if not np.all(np.isfinite(sandwich)):
+            raise ValueError(f"A2 overflows at level {level}: "
+                             "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries")
         best = max(best, float(np.max(top_eigenvalue_stack(sandwich))))
     return best
 

@@ -165,7 +165,7 @@ def test_07_maximality_of_stopping_intervals():
     entries, _ = sparse_suite()
     violations = 0
     for weight, f, _cfg, family, _dom in entries:
-        rep = verify_maximality(family, weight, f)
+        rep = verify_maximality(family)
         violations += len(rep.violations)
     report("maximality_of_stopping_intervals", violations == 0,
            f"violations={violations} across 1000 built families")

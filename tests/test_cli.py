@@ -1,10 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from matw.cli import main
-from matw.dyadic import GridVector, save_field
+from matw.dyadic import GridMatrixField, GridVector, save_field
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -117,21 +123,26 @@ def test_swnorm_rejects_weight_file_as_function(weight_file, capsys):
         main(["swnorm", weight_file, "--f", weight_file])
 
 
-@pytest.mark.parametrize("name, text", [
-    ("missing.json", None),
-    ("not_json.json", "not json"),
-    ("no_dim.json", json.dumps({"depth": 3, "values": [[float(i)] for i in range(8)]})),
+@pytest.mark.parametrize("name, text, role", [
+    ("missing.json", None, "f"),
+    ("not_json.json", "not json", "f"),
+    ("no_dim.json", json.dumps({"depth": 3, "values": [[float(i)] for i in range(8)]}), "f"),
     ("wrong_depth.json", json.dumps({"depth": 2, "dim": 1,
-                                     "values": [[float(i)] for i in range(8)]})),
-    ("top_level_list.json", json.dumps([[0.0], [1.0]])),
-    ("null_values.json", json.dumps({"depth": 1, "dim": 1, "values": None})),
-], ids=["missing", "not_json", "no_dim", "wrong_depth", "top_level_list", "null_values"])
-def test_bad_input_file_exits_2_with_one_line(weight_file, tmp_path, capsys, name, text):
+                                     "values": [[float(i)] for i in range(8)]}), "f"),
+    ("top_level_list.json", json.dumps([[0.0], [1.0]]), "f"),
+    ("null_values.json", json.dumps({"depth": 1, "dim": 1, "values": None}), "f"),
+    ("metadata_list.json", json.dumps({"depth": 3, "dim": 1, "values": [[1.0]] * 8,
+                                       "metadata": []}), "weight"),
+], ids=["missing", "not_json", "no_dim", "wrong_depth", "top_level_list", "null_values",
+        "metadata_list"])
+def test_bad_input_file_exits_2_with_one_line(weight_file, function_file, tmp_path, capsys,
+                                              name, text, role):
     path = tmp_path / name
     if text is not None:
         path.write_text(text)
+    files = {"weight": weight_file, "f": function_file, role: str(path)}
     with pytest.raises(SystemExit) as exc:
-        main(["swnorm", weight_file, "--f", str(path)])
+        main(["swnorm", files["weight"], "--f", files["f"]])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -145,3 +156,19 @@ def test_a2_rejects_weight_file_that_is_a_list(tmp_path, capsys):
         main(["a2", str(path)])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "matw a2: expected a JSON object, got list\n"
+
+
+def test_a2_overflowing_weight_exits_2_with_one_line(tmp_path):
+    # the weight of test_a2_rejects_an_overflowing_level, through the installed entry point
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    leaves = [1e300 * np.eye(2), 1e-300 * rot @ np.diag([1.0, 2.0]) @ rot.T, np.eye(2), np.eye(2)]
+    path = tmp_path / "overflow.json"
+    save_field(GridMatrixField(2, 2, np.array(leaves)), str(path))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "matw.cli", "a2", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("matw a2: A2 overflows at level 0: "
+                           "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries\n")

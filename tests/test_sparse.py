@@ -96,7 +96,7 @@ def test_type2_trigger_on_concentrated_function():
     family = build_sparse_family(w, f, cfg)
     tags = {family.node(iv).trigger for iv in family.intervals()} - {"root"}
     assert "type2" in tags
-    assert verify_type2_weak_bound(family, w, f).ok
+    assert verify_type2_weak_bound(family).ok
     assert verify_domination(w, f, family).ok
 
 
@@ -142,7 +142,7 @@ def test_both_trigger_tag():
     node = family.node(DyadicInterval(1, 1))
     assert node.trigger == "both"
     assert verify_type1_trace_bound(family, w).ok
-    assert verify_type2_weak_bound(family, w, f).ok
+    assert verify_type2_weak_bound(family).ok
     assert verify_domination(w, f, family).ok
 
 
@@ -221,10 +221,10 @@ def test_randomized_suite_all_verifications():
         assert sp.ok, f"instance {index}: sparseness {sp.min_ratio}"
         worst_ratio = min(worst_ratio, sp.min_ratio)
         assert verify_type1_trace_bound(family, weight).ok, f"instance {index}"
-        t2 = verify_type2_weak_bound(family, weight, f)
+        t2 = verify_type2_weak_bound(family)
         assert t2.ok, f"instance {index}"
         assert t2.max_weak_quotient <= cfg.weak_type_budget
-        assert verify_maximality(family, weight, f).ok, f"instance {index}"
+        assert verify_maximality(family).ok, f"instance {index}"
     assert worst_ratio >= 0.5
 
 
@@ -246,7 +246,7 @@ def test_weak_bound_vacuous_without_type2_children():
     w = generate_weight(WeightFamilySpec("identity", 1, 3))
     f = haar_root_function(3, 1)
     family = build_sparse_family(w, f, default_stopping_config(1))
-    report = verify_type2_weak_bound(family, w, f)
+    report = verify_type2_weak_bound(family)
     assert report.ok and report.per_node == [] and report.max_weak_quotient == 0.0
 
 
@@ -254,7 +254,7 @@ def test_maximality_on_deep_instances():
     for index in (5, 9, 31, 44):
         weight, f = random_instance(index)
         family = build_sparse_family(weight, f, default_stopping_config(weight.dim))
-        assert verify_maximality(family, weight, f).ok
+        assert verify_maximality(family).ok
 
 
 def test_certificate_contents_and_self_consistency():
@@ -373,6 +373,26 @@ def test_recheck_accepts_genuine_certificates():
         assert result["ok"], result["problems"]
 
 
+def _dropped(cert):
+    cert["family"]["nodes"] = [n for n in cert["family"]["nodes"] if n["parent"] is None]
+    cert["family"]["nodes"][0]["children"] = []
+    cert["family"]["nodes"][0]["e_ratio"] = 1.0
+
+
+def _retagged(cert):
+    for node in cert["family"]["nodes"]:
+        if node["trigger"] == "both":
+            node["trigger"] = "type1"
+
+
+def _inflated(cert):
+    cert["domination"]["lhs"] *= 0.5
+
+
+def _flipped(cert):
+    cert["ok"] = False
+
+
 def test_recheck_rejects_tampered_certificates():
     eps = 1e-3
     weight = scalar_weight(2, [eps, eps, 1.0, 1.0])
@@ -380,27 +400,10 @@ def test_recheck_rejects_tampered_certificates():
     cfg = StoppingConfig(c1=1.2, c2=1.5)
     clean = certify(weight, f, cfg)
     assert recheck_certificate(clean, weight, f)["ok"]
-
-    dropped = json.loads(json.dumps(clean))
-    dropped["family"]["nodes"] = [n for n in dropped["family"]["nodes"]
-                                  if n["parent"] is None]
-    dropped["family"]["nodes"][0]["children"] = []
-    dropped["family"]["nodes"][0]["e_ratio"] = 1.0
-    assert not recheck_certificate(dropped, weight, f)["ok"]
-
-    retagged = json.loads(json.dumps(clean))
-    for node in retagged["family"]["nodes"]:
-        if node["trigger"] == "both":
-            node["trigger"] = "type1"
-    assert not recheck_certificate(retagged, weight, f)["ok"]
-
-    inflated = json.loads(json.dumps(clean))
-    inflated["domination"]["lhs"] *= 0.5
-    assert not recheck_certificate(inflated, weight, f)["ok"]
-
-    flipped = json.loads(json.dumps(clean))
-    flipped["ok"] = False
-    assert not recheck_certificate(flipped, weight, f)["ok"]
+    for tamper in (_dropped, _retagged, _inflated, _flipped):
+        cert = json.loads(json.dumps(clean))
+        tamper(cert)
+        assert not recheck_certificate(cert, weight, f)["ok"], tamper.__name__
 
 
 def _orphan_children(family):
@@ -429,24 +432,81 @@ def test_recheck_rejects_inconsistent_family(tamper):
     assert result["problems"]
 
 
-def test_verifiers_share_one_scan_per_parent(monkeypatch):
-    from matw.sparse import _GenerationScan
+FAMILY_DIFFERS = "family differs from the one rebuilt from the instance"
 
+
+def _dropped_inflated_flipped(cert):
+    _dropped(cert)
+    _inflated(cert)
+    _flipped(cert)
+
+
+def _stricter_config(cert):
+    cert["config"]["sparseness_target"] = 1.0
+    cert["config"]["weak_type_budget"] = 0.5
+
+
+@pytest.mark.parametrize("tamper, problems", [
+    (_dropped, [FAMILY_DIFFERS]),
+    (_retagged, [FAMILY_DIFFERS]),
+    (_inflated, ["domination report differs from certificate"]),
+    (_flipped, ["top-level ok flag inconsistent with sub-reports"]),
+    (lambda cert: _orphan_children(cert["family"]), [FAMILY_DIFFERS]),
+    (lambda cert: _invented_leaf(cert["family"]), [FAMILY_DIFFERS]),
+    (lambda cert: _truncated_generations(cert["family"]), [FAMILY_DIFFERS]),
+    (_dropped_inflated_flipped, [FAMILY_DIFFERS, "domination report differs from certificate",
+                                 "top-level ok flag inconsistent with sub-reports"]),
+    (_stricter_config, ["sparseness fails on recheck", "sparseness report differs from certificate",
+                        "type2_weak fails on recheck", "type2_weak report differs from certificate"]),
+], ids=["dropped", "retagged", "inflated", "flipped", "orphan_children", "invented_leaf",
+        "truncated_generations", "dropped_inflated_flipped", "stricter_config"])
+def test_recheck_problems_are_exact(tamper, problems):
+    # the tamper cases above, plus two that raise several problems, pinned in order
+    eps = 1e-3
+    weight = scalar_weight(2, [eps, eps, 1.0, 1.0])
+    f = GridVector(2, 1, np.array([[0.0], [0.0], [50.0], [0.0]]))
+    cert = json.loads(json.dumps(certify(weight, f, StoppingConfig(c1=1.2, c2=1.5))))
+    tamper(cert)
+    assert recheck_certificate(cert, weight, f) == {"ok": False, "problems": problems}
+
+
+def _deep_instance():
     weight, f = random_instance(9)
-    family = build_sparse_family(weight, f, StoppingConfig(c1=1.3, c2=4.0))
-    parents = sum(1 for iv in family.intervals() if family.node(iv).children)
-    assert parents >= 2
-    built = []
-    original = _GenerationScan.__init__
+    return weight, f, StoppingConfig(c1=1.3, c2=4.0)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args[3])
-        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(_GenerationScan, "__init__", counting_init)
-    assert verify_type2_weak_bound(family, weight, f).ok
-    assert verify_maximality(family, weight, f).ok
-    assert len(built) == len(set(built)) == parents
+def _root_only_instance():
+    weight = generate_weight(WeightFamilySpec("identity", 1, 4))
+    return weight, haar_root_function(4, 1), default_stopping_config(1)
+
+
+@pytest.mark.parametrize("instance", [_deep_instance, _root_only_instance])
+def test_certify_builds_each_scan_once(instance, monkeypatch):
+    import matw.sparse as sparse
+
+    weight, f, cfg = instance()
+    scanned, analyzed = [], []
+    original_init, original_analyze = sparse._GenerationScan.__init__, sparse.analyze
+
+    def counting_init(self, weight, coeffs, f_values, root, cfg):
+        scanned.append(root)
+        original_init(self, weight, coeffs, f_values, root, cfg)
+
+    def counting_analyze(f):
+        analyzed.append(f)
+        return original_analyze(f)
+
+    monkeypatch.setattr(sparse._GenerationScan, "__init__", counting_init)
+    monkeypatch.setattr(sparse, "analyze", counting_analyze)
+    cert = certify(weight, f, cfg)
+    assert cert["type2_weak"]["ok"] and cert["maximality"]["ok"]
+    # the builder scans every family node above the leaves; the verifiers scan nothing
+    roots = sorted(DyadicInterval(*n["interval"]) for n in cert["family"]["nodes"]
+                   if n["interval"][0] < weight.depth)
+    assert sorted(scanned) == roots
+    assert len(analyzed) == 1
+    parents = [n for n in cert["family"]["nodes"] if n["children"]]
+    assert len(parents) >= 2 if instance is _deep_instance else parents == []
 
 
 def test_recheck_rejects_wrong_instance():
