@@ -86,7 +86,7 @@ class SparseFamily:
 
     `scans` holds the generation scan that `build_sparse_family` made for
     every node with children; the type-2 and maximality verifiers read their
-    chain sums, norms and thresholds from it. It is not serialized or compared.
+    chain sums, norm-condition masks and thresholds from it. It is not serialized or compared.
     """
 
     depth: int
@@ -116,8 +116,8 @@ class _GenerationScan:
     """Per-level condition data for one generation rooted at `root`.
 
     For every interval strictly below the root (down to the leaves) this holds
-    the chain sums, the norm-condition values, and the trigger masks, plus the
-    blocking mask marking intervals below an already-triggered ancestor.
+    the chain sums and the trigger masks of both conditions, plus the stopping
+    mask: triggered and not below an already-triggered ancestor.
     """
 
     def __init__(self, weight: MatrixWeight, coeffs: HaarCoefficients,
@@ -136,7 +136,6 @@ class _GenerationScan:
 
         self.offsets: dict[int, int] = {}
         self.chains: dict[int, np.ndarray] = {}
-        self.norms: dict[int, np.ndarray] = {}
         self.cond1: dict[int, np.ndarray] = {}
         self.cond2: dict[int, np.ndarray] = {}
         self.stopping: dict[int, np.ndarray] = {}
@@ -154,13 +153,11 @@ class _GenerationScan:
                 q = np.zeros(hi - lo)
             chain = np.repeat(chain_prev, 2) + q
             sandwich = self.inv_sqrt_root @ weight.level_averages(level)[lo:hi] @ self.inv_sqrt_root
-            norms = np.sqrt(top_eigenvalue_stack(sandwich))
-            cond1 = norms > cfg.c1
+            cond1 = np.sqrt(top_eigenvalue_stack(sandwich)) > cfg.c1
             cond2 = chain > self.threshold
             triggered = cond1 | cond2
             blocked = np.repeat(blocked_prev, 2)
             self.chains[level] = chain
-            self.norms[level] = norms
             self.cond1[level] = cond1
             self.cond2[level] = cond2
             self.stopping[level] = triggered & ~blocked
@@ -183,8 +180,8 @@ class _GenerationScan:
             return self.root_chain
         return float(self.chains[interval.level][interval.index - self.offsets[interval.level]])
 
-    def norm_at(self, interval: DyadicInterval) -> float:
-        return float(self.norms[interval.level][interval.index - self.offsets[interval.level]])
+    def norm_condition_at(self, interval: DyadicInterval) -> bool:
+        return bool(self.cond1[interval.level][interval.index - self.offsets[interval.level]])
 
 
 def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseFamily:
@@ -393,13 +390,12 @@ class MaximalityReport:
 def verify_maximality(family: SparseFamily) -> MaximalityReport:
     """Every strict ancestor of a stopping child, within its generation,
     satisfies both conditions with <=."""
-    cfg = family.config
     violations = []
     for parent, scan in sorted(family.scans.items()):
         for child in family.node(parent).children:
             ancestor = child.parent() if child.level > parent.level + 1 else None
             while ancestor is not None and ancestor != parent:
-                if scan.norm_at(ancestor) > cfg.c1:
+                if scan.norm_condition_at(ancestor):
                     violations.append({"ancestor": [ancestor.level, ancestor.index],
                                        "child": [child.level, child.index], "condition": "norm"})
                 if scan.chain_at(ancestor) > scan.threshold:
