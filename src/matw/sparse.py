@@ -391,8 +391,9 @@ def verify_maximality(family: SparseFamily) -> MaximalityReport:
     """Every strict ancestor of a stopping child, within its generation,
     satisfies both conditions with <=."""
     violations = []
-    for parent, scan in sorted(family.scans.items()):
+    for parent in family.intervals():
         for child in family.node(parent).children:
+            scan = family.scans[parent]
             ancestor = child.parent() if child.level > parent.level + 1 else None
             while ancestor is not None and ancestor != parent:
                 if scan.norm_condition_at(ancestor):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -507,6 +508,17 @@ def test_certify_builds_each_scan_once(instance, monkeypatch):
     assert len(analyzed) == 1
     parents = [n for n in cert["family"]["nodes"] if n["children"]]
     assert len(parents) >= 2 if instance is _deep_instance else parents == []
+
+
+def test_verifiers_refuse_a_family_without_its_scans():
+    weight, f, cfg = _deep_instance()
+    family = build_sparse_family(weight, f, cfg)
+    assert {family.node(iv).trigger for iv in family.intervals()} >= {"type2"}
+    bare = dataclasses.replace(family, scans={})
+    with pytest.raises(KeyError):
+        verify_type2_weak_bound(bare)
+    with pytest.raises(KeyError):
+        verify_maximality(bare)
 
 
 def test_recheck_rejects_wrong_instance():
