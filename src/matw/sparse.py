@@ -86,7 +86,8 @@ class SparseFamily:
 
     `scans` holds the generation scan that `build_sparse_family` made for
     every node with children; the type-2 and maximality verifiers read their
-    chain sums, norm-condition masks and thresholds from it. It is not serialized or compared.
+    chain sums, norm-condition masks and thresholds from it. It is not
+    serialized or compared.
     """
 
     depth: int
