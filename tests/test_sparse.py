@@ -457,8 +457,10 @@ def _stricter_config(cert):
     (lambda cert: _truncated_generations(cert["family"]), [FAMILY_DIFFERS]),
     (_dropped_inflated_flipped, [FAMILY_DIFFERS, "domination report differs from certificate",
                                  "top-level ok flag inconsistent with sub-reports"]),
-    (_stricter_config, ["sparseness fails on recheck", "sparseness report differs from certificate",
-                        "type2_weak fails on recheck", "type2_weak report differs from certificate"]),
+    (_stricter_config, ["sparseness fails on recheck",
+                        "sparseness report differs from certificate",
+                        "type2_weak fails on recheck",
+                        "type2_weak report differs from certificate"]),
 ], ids=["dropped", "retagged", "inflated", "flipped", "orphan_children", "invented_leaf",
         "truncated_generations", "dropped_inflated_flipped", "stricter_config"])
 def test_recheck_problems_are_exact(tamper, problems):
