@@ -10,8 +10,12 @@ Each stopping interval becomes the root of the next generation, with both
 conditions reset against the new root. The collected intervals form a sparse
 family and dominate the full energy with constant C1^2 C2.
 
-Both conditions use strict inequalities, so equality never stops. All
-verifications below recheck, instance by instance, each inequality the
+Both conditions use strict inequalities, so equality never stops. The scan
+decides condition (1) by the paper's own trace step: the top eigenvalue is at
+most tr(<W>_R^{-1} <W>_L), so only intervals whose trace exceeds C1^2/2 need
+an eigensolve (see _GenerationScan).
+
+All verifications below recheck, instance by instance, each inequality the
 construction is supposed to guarantee: sparseness of the E-sets, the
 domination itself, the trace argument bounding the norm-triggered mass, and
 the weak-type containment behind the sum-triggered mass.
@@ -119,6 +123,20 @@ class _GenerationScan:
     For every interval strictly below the root (down to the leaves) this holds
     the chain sums and the trigger masks of both conditions, plus the stopping
     mask: triggered and not below an already-triggered ancestor.
+
+    Condition (1) is cleared without an eigensolve on every row whose trace
+    t_L = tr(<W>_R^{-1} <W>_L) has |t_L| <= C1^2/2; only the other rows go to
+    `top_eigenvalue_stack`. The mask is the same as with a full eigensolve:
+      - the sandwich <W>_R^{-1/2} <W>_L <W>_R^{-1/2} is PSD with trace t_L, so
+        its top eigenvalue is at most t_L <= C1^2/2 < C1^2;
+      - cond(<W>_R) <= max_x cond W(x) <= 1/eps_pd, since every Rayleigh
+        quotient of <W>_R is a mean of those of the leaves, so the computed
+        trace and eigenvalue lie within about d u / eps_pd (4e-6 at d = 4 and
+        the default eps_pd) of the exact ones, far inside the factor-2 margin;
+      - a NaN or infinite trace fails the comparison and reaches the
+        eigensolve, which raises on non-finite input.
+    The traces of one level average d, so by Markov's inequality fewer than
+    2d/C1^2 of its rows reach the eigensolve: half at the default C1 = 2 sqrt(d).
     """
 
     def __init__(self, weight: MatrixWeight, coeffs: HaarCoefficients,
@@ -128,6 +146,8 @@ class _GenerationScan:
         self.depth = depth
         avg_root = weight.average(root)
         self.inv_sqrt_root = psd_power(avg_root, -0.5, weight.eps_pd)
+        inv_root = self.inv_sqrt_root @ self.inv_sqrt_root
+        trace_clear = 0.5 * cfg.c1 * cfg.c1
         sqrt_root = weight.sqrt_average(root)
         block = f_values[root.leaf_slice(depth)]
         mean_norm = float(np.mean(np.linalg.norm(block @ sqrt_root, axis=1)))
@@ -153,8 +173,12 @@ class _GenerationScan:
             else:
                 q = np.zeros(hi - lo)
             chain = np.repeat(chain_prev, 2) + q
-            sandwich = self.inv_sqrt_root @ weight.level_averages(level)[lo:hi] @ self.inv_sqrt_root
-            cond1 = np.sqrt(top_eigenvalue_stack(sandwich)) > cfg.c1
+            averages = weight.level_averages(level)[lo:hi]
+            traces = np.einsum("ij,nij->n", inv_root, averages)
+            maybe = ~(np.abs(traces) <= trace_clear)
+            sandwich = self.inv_sqrt_root @ averages[maybe] @ self.inv_sqrt_root
+            cond1 = np.zeros(hi - lo, dtype=bool)
+            cond1[maybe] = np.sqrt(top_eigenvalue_stack(sandwich)) > cfg.c1
             cond2 = chain > self.threshold
             triggered = cond1 | cond2
             blocked = np.repeat(blocked_prev, 2)

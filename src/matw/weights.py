@@ -15,6 +15,7 @@ supremum. For scalar weights (d = 1) it is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -24,6 +25,7 @@ from .dyadic import DyadicInterval, GridMatrixField, GridScalar, read_grid_json
 from .linalg import EPS_PD, PSD_TOL, psd_power_stack, top_eigenvalue_stack
 
 FAMILY_KINDS = ("identity", "scalar_power", "block_scalar", "rotating", "random_log_pd")
+NORMAL_MIN = float(np.finfo(float).tiny)  # leaf eigenvalues lie in [NORMAL_MIN, 1 / NORMAL_MIN]
 
 
 class MatrixWeight:
@@ -41,6 +43,11 @@ class MatrixWeight:
         lo, hi = vals[:, 0], vals[:, -1]
         if np.any(hi <= 0.0) or np.any(lo < -PSD_TOL * hi):
             raise ValueError("weight has a non positive definite leaf")
+        outside = (lo < NORMAL_MIN) | (hi > 1.0 / NORMAL_MIN)
+        if np.any(outside):
+            k = int(np.argmax(outside))
+            val = lo[k] if lo[k] < NORMAL_MIN else hi[k]
+            raise ValueError(f"leaf {k} has eigenvalue {val:.3e}, whose inverse leaves the float range")
         if np.any(lo < eps_pd * hi):
             worst = float(np.min(lo / hi))
             raise ValueError(f"singular weight: leaf eigenvalue ratio {worst:.3e} below {eps_pd:.1e}")
@@ -285,8 +292,25 @@ def scalar_power_leaf_values(depth: int, t: float) -> np.ndarray:
     return w
 
 
+def _leaf_log2_bound(spec: WeightFamilySpec) -> float:
+    """A bound of |log2 lambda| over the eigenvalues lambda of every leaf of the spec."""
+    t = spec.parameter
+    if spec.kind in ("scalar_power", "block_scalar"):
+        return spec.depth * 2.0 * t / (1.0 - t)  # leaf values 2^(-m 2t/(1-t)), m <= depth
+    if spec.kind == "rotating":
+        return t * math.log2(math.e)  # eigenvalues exp(+-t cos)
+    if spec.kind == "random_log_pd":
+        return spec.dim * t * math.log2(math.e)  # exp of a symmetric matrix, entries in [-t, t]
+    return 0.0
+
+
 def generate_weight(spec: WeightFamilySpec) -> MatrixWeight:
     """Build a family weight; identical specs give identical weights."""
+    bound = _leaf_log2_bound(spec)
+    if not bound <= -math.log2(NORMAL_MIN):
+        raise ValueError(f"{spec.kind} parameter {spec.parameter:g} at depth {spec.depth}, dim "
+                         f"{spec.dim} puts |log2| of its leaf eigenvalues up to {bound:.0f}, "
+                         "past the float range's 1022")
     n, d, t = 1 << spec.depth, spec.dim, spec.parameter
     values = np.zeros((n, d, d))
     if spec.kind == "identity":
