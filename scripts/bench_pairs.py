@@ -83,7 +83,8 @@ def export(rev: str, dest: pathlib.Path) -> str:
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float,
              trace: int) -> tuple[dict, dict]:
-    """One benchmark run; returns its final JSON object and its printed environment."""
+    """One benchmark run: its final JSON object, with each metric reduced to its
+    value, and the environment it printed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -93,7 +94,9 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float,
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    result = json.loads(lines[-1])
+    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    return result, env
 
 
 def machine() -> dict:

@@ -126,7 +126,8 @@ class _GenerationScan:
 
     Condition (1) is cleared without an eigensolve on every row whose trace
     t_L = tr(<W>_R^{-1} <W>_L) has |t_L| <= C1^2/2; only the other rows go to
-    `top_eigenvalue_stack`. The mask is the same as with a full eigensolve:
+    `top_eigenvalue_stack`, and a level with none skips it. The mask is the
+    same as with a full eigensolve:
       - the sandwich <W>_R^{-1/2} <W>_L <W>_R^{-1/2} is PSD with trace t_L, so
         its top eigenvalue is at most t_L <= C1^2/2 < C1^2;
       - cond(<W>_R) <= max_x cond W(x) <= 1/eps_pd, since every Rayleigh
@@ -135,8 +136,8 @@ class _GenerationScan:
         the default eps_pd) of the exact ones, far inside the factor-2 margin;
       - a NaN or infinite trace fails the comparison and reaches the
         eigensolve, which raises on non-finite input.
-    The traces of one level average d, so by Markov's inequality fewer than
-    2d/C1^2 of its rows reach the eigensolve: half at the default C1 = 2 sqrt(d).
+    The traces of one level average d, so by Markov's inequality a share below
+    2d/C1^2 of its rows reaches the eigensolve: half at the default C1 = 2 sqrt(d).
     """
 
     def __init__(self, weight: MatrixWeight, coeffs: HaarCoefficients,
@@ -146,7 +147,7 @@ class _GenerationScan:
         self.depth = depth
         avg_root = weight.average(root)
         self.inv_sqrt_root = psd_power(avg_root, -0.5, weight.eps_pd)
-        inv_root = self.inv_sqrt_root @ self.inv_sqrt_root
+        inv_root_t = (self.inv_sqrt_root @ self.inv_sqrt_root).T.ravel()
         trace_clear = 0.5 * cfg.c1 * cfg.c1
         sqrt_root = weight.sqrt_average(root)
         block = f_values[root.leaf_slice(depth)]
@@ -174,11 +175,11 @@ class _GenerationScan:
                 q = np.zeros(hi - lo)
             chain = np.repeat(chain_prev, 2) + q
             averages = weight.level_averages(level)[lo:hi]
-            traces = np.einsum("ij,nij->n", inv_root, averages)
-            maybe = ~(np.abs(traces) <= trace_clear)
-            sandwich = self.inv_sqrt_root @ averages[maybe] @ self.inv_sqrt_root
-            cond1 = np.zeros(hi - lo, dtype=bool)
-            cond1[maybe] = np.sqrt(top_eigenvalue_stack(sandwich)) > cfg.c1
+            # each row of <W>_L, flattened, dotted with <W>_R^{-1} transposed: t_L
+            cond1 = ~(np.abs(averages.reshape(hi - lo, -1) @ inv_root_t) <= trace_clear)
+            if cond1.any():
+                sandwich = self.inv_sqrt_root @ averages[cond1] @ self.inv_sqrt_root
+                cond1[cond1] = np.sqrt(top_eigenvalue_stack(sandwich)) > cfg.c1
             cond2 = chain > self.threshold
             triggered = cond1 | cond2
             blocked = np.repeat(blocked_prev, 2)
