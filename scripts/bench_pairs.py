@@ -120,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--title", required=True)
     parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json to write")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seconds", type=float,
+                        help="run length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--claim", help="workload:metric the change claims to improve")
     parser.add_argument("--note", action="append", default=[], help="a line for 'notes'")
@@ -131,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: pathlib.Path(tmp) / side for side in SIDES}
         shas = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
         contract = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        seconds = args.seconds or contract["run_seconds"]
         workloads = args.workloads or [w["name"] for w in contract["workloads"]]
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         failed = {w: {side: 0 for side in SIDES} for w in workloads}
@@ -139,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 order = SIDES if (i + wi) % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, env = run_once(checkouts[side], workload, i, args.seconds, 0)
+                    result, env = run_once(checkouts[side], workload, i, seconds, 0)
                     runs[workload][side].append(result["metrics"])
                     failed[workload][side] += result["failed"]
                     print(f"{workload} pair {i} {side}: wall_s {result['metrics'].get('wall_s')}",
@@ -148,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         for workload in workloads:
             traced[workload] = {}
             for side in SIDES:
-                result, _ = run_once(checkouts[side], workload, 0, args.seconds, 1)
+                result, _ = run_once(checkouts[side], workload, 0, seconds, 1)
                 traced[workload][side] = {"failed": result["failed"],
                                           "attempted": result["attempted"],
                                           "metrics": result["metrics"]}
@@ -165,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":", 1)
         claimed = {"workload": workload, "metric": metric}
-    command = f"python3 bench/run.py --workload <w> --seed <i> --seconds {args.seconds:g}"
+    command = f"python3 bench/run.py --workload <w> --seed <i> --seconds {seconds:g}"
     report = {
         "title": args.title,
         "parent": shas["parent"],

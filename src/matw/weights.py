@@ -43,14 +43,14 @@ class MatrixWeight:
         lo, hi = vals[:, 0], vals[:, -1]
         if np.any(hi <= 0.0) or np.any(lo < -PSD_TOL * hi):
             raise ValueError("weight has a non positive definite leaf")
+        if np.any(lo < eps_pd * hi):
+            worst = float(np.min(lo / hi))
+            raise ValueError(f"singular weight: leaf eigenvalue ratio {worst:.3e} below {eps_pd:.1e}")
         outside = (lo < NORMAL_MIN) | (hi > 1.0 / NORMAL_MIN)
         if np.any(outside):
             k = int(np.argmax(outside))
             val = lo[k] if lo[k] < NORMAL_MIN else hi[k]
             raise ValueError(f"leaf {k} has eigenvalue {val:.3e}, whose inverse leaves the float range")
-        if np.any(lo < eps_pd * hi):
-            worst = float(np.min(lo / hi))
-            raise ValueError(f"singular weight: leaf eigenvalue ratio {worst:.3e} below {eps_pd:.1e}")
         inv_vals = np.einsum("nij,nj,nkj->nik", vecs, 1.0 / vals, vecs)
         self._adopt(field, GridMatrixField(field.depth, field.dim, inv_vals), eps_pd, metadata)
 
@@ -306,11 +306,11 @@ def _leaf_log2_bound(spec: WeightFamilySpec) -> float:
 
 def generate_weight(spec: WeightFamilySpec) -> MatrixWeight:
     """Build a family weight; identical specs give identical weights."""
-    bound = _leaf_log2_bound(spec)
-    if not bound <= -math.log2(NORMAL_MIN):
+    bound, limit = _leaf_log2_bound(spec), -math.log2(NORMAL_MIN)
+    if not bound <= limit:
         raise ValueError(f"{spec.kind} parameter {spec.parameter:g} at depth {spec.depth}, dim "
                          f"{spec.dim} puts |log2| of its leaf eigenvalues up to {bound:.0f}, "
-                         "past the float range's 1022")
+                         f"past the float range's {limit:.0f}")
     n, d, t = 1 << spec.depth, spec.dim, spec.parameter
     values = np.zeros((n, d, d))
     if spec.kind == "identity":

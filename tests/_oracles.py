@@ -5,7 +5,8 @@ summation, dense matrix assembly from directly summed averages, plain power
 iteration. The exceptions start from `matw.haar.analyze`: the martingale
 transform (which also calls `synthesize`), sign enumeration, Monte Carlo and
 the unweighted square function; `stopping_children` runs the library's own
-generation scan. `test_analyze_matches_haar_inner_products` pins `analyze`
+generation scan; `norm_condition_mask` takes the weight's averages and
+`psd_power`. `test_analyze_matches_haar_inner_products` pins `analyze`
 against `haar_leaf_values` coefficient by coefficient.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from matw.dyadic import DyadicInterval, GridScalar, GridVector
 from matw.haar import HaarCoefficients, analyze, synthesize
+from matw.linalg import psd_power
 from matw.sparse import _GenerationScan
 
 ENUMERATION_CAP = 22
@@ -158,6 +160,18 @@ def stopping_children(root: DyadicInterval, weight, f, cfg) -> list[tuple[Dyadic
         return []
     scan = _GenerationScan(weight, analyze(f), f.values, root, cfg)
     return scan.stopping_intervals()
+
+
+def norm_condition_mask(weight, root: DyadicInterval, level: int, c1: float) -> np.ndarray:
+    """Condition (1) on every interval of `level` below `root`, each row by its
+    own eigensolve with no trace filter in front: the square root of the top
+    eigenvalue of <W>_R^{-1/2} <W>_L <W>_R^{-1/2} exceeds c1. The averages and
+    <W>_R^{-1/2} are the ones the generation scan uses, so a row can differ
+    from the scan's only through the filter."""
+    lo, hi = root.index << (level - root.level), (root.index + 1) << (level - root.level)
+    inv_sqrt = psd_power(weight.average(root), -0.5, weight.eps_pd)
+    sandwich = inv_sqrt @ weight.level_averages(level)[lo:hi] @ inv_sqrt
+    return np.sqrt(np.linalg.eigvalsh(sandwich)[:, -1]) > c1
 
 
 class SignPattern:

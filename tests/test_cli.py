@@ -158,6 +158,13 @@ def test_a2_rejects_weight_file_that_is_a_list(tmp_path, capsys):
     assert capsys.readouterr().err == "matw a2: expected a JSON object, got list\n"
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """The command line in a fresh interpreter, so numpy's warnings reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "matw.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_a2_overflowing_weight_exits_2_with_one_line(tmp_path):
     # the weight of test_a2_rejects_an_overflowing_level, through the installed entry point
     c, s = np.cos(0.3), np.sin(0.3)
@@ -165,10 +172,35 @@ def test_a2_overflowing_weight_exits_2_with_one_line(tmp_path):
     leaves = [1e300 * np.eye(2), 1e-300 * rot @ np.diag([1.0, 2.0]) @ rot.T, np.eye(2), np.eye(2)]
     path = tmp_path / "overflow.json"
     save_field(GridMatrixField(2, 2, np.array(leaves)), str(path))
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "matw.cli", "a2", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cli("a2", str(path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == ("matw a2: A2 overflows at level 0: "
                            "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries\n")
+
+
+def test_a2_subnormal_leaf_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "subnormal.json"
+    save_field(GridMatrixField(1, 1, np.array([[[1e-310]], [[1.0]]])), str(path))
+    proc = run_cli("a2", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("matw a2: leaf 0 has eigenvalue 1.000e-310, "
+                           "whose inverse leaves the float range\n")
+
+
+@pytest.mark.parametrize("kind, dim, depth, param, log2_bound", [
+    ("scalar_power", 1, 6, "0.9887", 1050),
+    ("scalar_power", 1, 6, "0.99", 1188),
+    ("rotating", 2, 3, "800", 1154),
+])
+def test_genweight_parameter_past_the_float_range_exits_2_with_one_line(
+        tmp_path, kind, dim, depth, param, log2_bound):
+    out = tmp_path / "w.json"
+    proc = run_cli("genweight", "--kind", kind, "--dim", str(dim), "--depth", str(depth),
+                   "--param", param, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert proc.stderr == (f"matw genweight: {kind} parameter {param} at depth {depth}, dim {dim} "
+                           f"puts |log2| of its leaf eigenvalues up to {log2_bound}, "
+                           "past the float range's 1022\n")

@@ -5,17 +5,20 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matw.dyadic import ROOT, DyadicInterval, GridScalar, GridVector
+from matw.dyadic import ROOT, DyadicInterval, GridMatrixField, GridScalar, GridVector
 from matw.haar import sw_norm_squared
 from matw.sparse import (SparseFamily, SparseNode, StoppingConfig, recheck_certificate,
                          build_sparse_family, certify, default_stopping_config,
                          verify_domination, verify_maximality, verify_sparseness,
                          verify_type1_trace_bound, verify_type2_weak_bound)
-from matw.weights import WeightFamilySpec, generate_weight, matrix_weight_from_scalar
+from matw.linalg import EPS_PD
+from matw.weights import MatrixWeight, WeightFamilySpec, generate_weight, matrix_weight_from_scalar
 
 from _instances import random_instance
-from _oracles import children, random_grid_vector, stopping_children
+from _oracles import children, norm_condition_mask, random_grid_vector, stopping_children
 
 
 def scalar_weight(depth, values):
@@ -557,3 +560,115 @@ def test_certificates_match_golden_digests():
     assert len(golden) == 200
     for index, (got, want) in enumerate(zip(certificate_digests(len(golden)), golden)):
         assert got == want, f"certificate of random_instance({index}) differs from the golden digest"
+
+
+def _filtered_scans(weight, f, cfg, monkeypatch):
+    """Every generation scan of the instance's family, each with the number of
+    rows it sent to the eigensolve at each level.
+
+    The family keeps the scans of its nodes with children; every other node
+    above the leaves is scanned afresh. The count wraps top_eigenvalue_stack
+    and attributes each call to the level whose averages the scan read last.
+    """
+    import matw.sparse as sparse
+
+    family = build_sparse_family(weight, f, cfg)
+    coeffs = sparse.analyze(f)
+    sent: dict[int, int] = {}
+    levels: list[int] = []
+    real_top, real_averages = sparse.top_eigenvalue_stack, weight.level_averages
+
+    def counting_top(ms):
+        sent[levels[-1]] = sent.get(levels[-1], 0) + len(ms)
+        return real_top(ms)
+
+    def recording_averages(level):
+        levels.append(level)
+        return real_averages(level)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse, "top_eigenvalue_stack", counting_top)
+        patch.setattr(weight, "level_averages", recording_averages)
+        for root in family.intervals():
+            if root.level >= weight.depth:
+                continue
+            sent.clear()
+            scan = sparse._GenerationScan(weight, coeffs, f.values, root, cfg)
+            yield family.scans.get(root, scan), dict(sent)
+
+
+def _check_trace_filter(weight, f, cfg, monkeypatch) -> tuple[int, int, int]:
+    """Each scan's condition-(1) mask equals the unfiltered one on every row;
+    at the default c1 each level sends at most half its rows to the eigensolve.
+    Returns the rows, the rows that hold condition (1) and the rows sent."""
+    default_c1 = cfg.c1 == 2.0 * np.sqrt(weight.dim)
+    rows = hits = total_sent = 0
+    for scan, sent in _filtered_scans(weight, f, cfg, monkeypatch):
+        for level, cond1 in scan.cond1.items():
+            expected = norm_condition_mask(weight, scan.root, level, cfg.c1)
+            np.testing.assert_array_equal(cond1, expected, err_msg=f"{scan.root} level {level}")
+            if default_c1:
+                assert 2 * sent.get(level, 0) <= len(cond1), f"{scan.root} level {level}"
+            rows += len(cond1)
+            hits += int(np.count_nonzero(cond1))
+            total_sent += sent.get(level, 0)
+    return rows, hits, total_sent
+
+
+def test_trace_filter_keeps_the_norm_condition_of_every_row(monkeypatch):
+    rows = hits = sent = 0
+    for index in range(200):
+        weight, f = random_instance(index)
+        r, h, s = _check_trace_filter(weight, f, default_stopping_config(weight.dim), monkeypatch)
+        rows, hits, sent = rows + r, hits + h, sent + s
+    # the pool exercises both sides of the filter and the eigensolve behind it
+    assert 0 < hits < sent < rows
+
+
+@st.composite
+def _extreme_instances(draw):
+    """Leaves s(x) Q(x) diag(lambda(x)) Q(x)^T with eigenvalue ratios down to
+    eps_pd and scales s(x) anywhere in [1e-250, 1e250], plus a random f."""
+    dim, depth = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    ratio_exp = draw(st.floats(0.0, 10.0))
+    lo_exp, hi_exp = sorted(draw(st.lists(st.floats(-250.0, 250.0), min_size=2, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 1 << depth
+    floor = max(10.0 ** -ratio_exp, 1.01 * EPS_PD)
+    lam = np.exp(rng.uniform(np.log(floor), 0.0, size=(n, dim)))
+    lam[:, 0] = floor
+    q, _ = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+    scale = 10.0 ** rng.uniform(lo_exp, hi_exp, size=n)
+    values = np.einsum("nij,nj,nkj->nik", q, lam * scale[:, None], q)
+    weight = MatrixWeight(GridMatrixField(depth, dim, values))
+    return weight, random_grid_vector(depth, dim, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_extreme_instances())
+def test_trace_filter_keeps_the_norm_condition_on_extreme_weights(instance):
+    weight, f = instance
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_trace_filter(weight, f, default_stopping_config(weight.dim), monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_average_reaches_the_eigensolve_and_raises(bad, monkeypatch):
+    import matw.sparse as sparse
+
+    weight, f = random_instance(3)
+    assert weight.depth >= 2
+    real_averages = weight.level_averages
+
+    def poisoned(level):
+        out = real_averages(level)
+        if level == weight.depth:
+            out = out.copy()
+            out[-1, 0, 0] = bad
+        return out
+
+    monkeypatch.setattr(weight, "level_averages", poisoned)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        sparse._GenerationScan(weight, sparse.analyze(f), f.values, ROOT,
+                               default_stopping_config(weight.dim))

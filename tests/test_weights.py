@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,40 @@ def test_weight_rejects_singular_leaf():
     vals[1] = np.diag([1.0, 1e-14])
     with pytest.raises(ValueError, match="singular weight"):
         MatrixWeight(GridMatrixField(1, 2, vals))
+
+
+@pytest.mark.parametrize("leaves, message", [
+    ([np.eye(2), np.diag([1e-310, 1e-310])], "leaf 1 has eigenvalue 1.000e-310"),
+    ([5e307 * np.eye(2), np.eye(2)], "leaf 0 has eigenvalue 5.000e+307"),
+], ids=["subnormal", "inverse_subnormal"])
+def test_weight_rejects_a_leaf_outside_the_float_range(leaves, message):
+    with pytest.raises(ValueError, match=re.escape(message + ", whose inverse leaves the float range")):
+        MatrixWeight(GridMatrixField(1, 2, np.array(leaves)))
+
+
+def test_weight_accepts_leaves_at_the_ends_of_the_float_range():
+    tiny = np.finfo(float).tiny
+    w = scalar_weight(2, [tiny, 1.0, 1.0, 1.0 / tiny])
+    assert np.all(np.isfinite(w.inverse_field.values))
+
+
+@pytest.mark.parametrize("kind, dim, depth, t", [
+    ("scalar_power", 1, 6, 0.9887),
+    ("scalar_power", 1, 6, 0.99),
+    ("block_scalar", 2, 6, 0.9887),
+    ("rotating", 2, 3, 800.0),
+    ("rotating", 2, 3, float("nan")),
+    ("random_log_pd", 2, 3, 400.0),
+])
+def test_generate_weight_rejects_parameters_past_the_float_range(kind, dim, depth, t):
+    with pytest.raises(ValueError, match="past the float range"):
+        generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t))
+
+
+def test_generate_weight_accepts_the_deepest_normal_power_weight():
+    # depth 2t/(1-t) = 988 <= 1022: the smallest leaf is 2^-988
+    w = generate_weight(WeightFamilySpec("scalar_power", 1, 6, parameter=0.988))
+    assert np.min(w.field.values) == scalar_power_leaf_values(6, 0.988)[0] > 0.0
 
 
 def test_weight_json_roundtrip(tmp_path):
