@@ -19,6 +19,8 @@ the change's wins and losses over the pairs, and a verdict:
   within bound  the change's median is not worse than the parent's by more
                 than the metric's bound;
   worse         otherwise.
+The report's `notes` list is left empty, for the conclusions to be written
+by hand.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--claim", help="workload:metric the change claims to improve")
-    parser.add_argument("--note", action="append", default=[], help="a line for 'notes'")
     parser.add_argument("--workdir", help="directory for the exports (default: system temp)")
     args = parser.parse_args(argv)
 
@@ -187,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         "failed_operations": failed,
         "end_to_end": end_to_end,
         "traced_seed0": {"command": command.replace("<i>", "0") + " --trace 1", "runs": traced},
-        "notes": args.note,
+        "notes": [],
     }
     pathlib.Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for row in end_to_end:

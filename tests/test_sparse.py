@@ -562,18 +562,21 @@ def test_certificates_match_golden_digests():
         assert got == want, f"certificate of random_instance({index}) differs from the golden digest"
 
 
-def _filtered_scans(weight, f, cfg, monkeypatch):
-    """Every generation scan of the instance's family, each with the number of
-    rows it sent to the eigensolve at each level.
+def _check_trace_filter(weight, f, cfg) -> tuple[int, int, int]:
+    """Every generation scan's condition-(1) mask equals the unfiltered one on
+    every row, and at the default c1 each level sends at most half its rows to
+    the eigensolve. Returns the rows, the rows that hold condition (1) and the
+    rows sent.
 
-    The family keeps the scans of its nodes with children; every other node
-    above the leaves is scanned afresh. The count wraps top_eigenvalue_stack
-    and attributes each call to the level whose averages the scan read last.
+    The family keeps the scans of its nodes with children; every node above
+    the leaves is also scanned afresh, with top_eigenvalue_stack wrapped to
+    count rows, each call counted at the level whose averages it read last.
     """
     import matw.sparse as sparse
 
     family = build_sparse_family(weight, f, cfg)
     coeffs = sparse.analyze(f)
+    default_c1 = cfg.c1 == 2.0 * np.sqrt(weight.dim)
     sent: dict[int, int] = {}
     levels: list[int] = []
     real_top, real_averages = sparse.top_eigenvalue_stack, weight.level_averages
@@ -586,40 +589,33 @@ def _filtered_scans(weight, f, cfg, monkeypatch):
         levels.append(level)
         return real_averages(level)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(sparse, "top_eigenvalue_stack", counting_top)
-        patch.setattr(weight, "level_averages", recording_averages)
-        for root in family.intervals():
-            if root.level >= weight.depth:
-                continue
-            sent.clear()
-            scan = sparse._GenerationScan(weight, coeffs, f.values, root, cfg)
-            yield family.scans.get(root, scan), dict(sent)
-
-
-def _check_trace_filter(weight, f, cfg, monkeypatch) -> tuple[int, int, int]:
-    """Each scan's condition-(1) mask equals the unfiltered one on every row;
-    at the default c1 each level sends at most half its rows to the eigensolve.
-    Returns the rows, the rows that hold condition (1) and the rows sent."""
-    default_c1 = cfg.c1 == 2.0 * np.sqrt(weight.dim)
     rows = hits = total_sent = 0
-    for scan, sent in _filtered_scans(weight, f, cfg, monkeypatch):
-        for level, cond1 in scan.cond1.items():
-            expected = norm_condition_mask(weight, scan.root, level, cfg.c1)
-            np.testing.assert_array_equal(cond1, expected, err_msg=f"{scan.root} level {level}")
+    for root in family.intervals():
+        if root.level >= weight.depth:
+            continue
+        sent.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sparse, "top_eigenvalue_stack", counting_top)
+            patch.setattr(weight, "level_averages", recording_averages)
+            fresh = sparse._GenerationScan(weight, coeffs, f.values, root, cfg)
+        for scan in (fresh, family.scans.get(root, fresh)):
+            for level, cond1 in scan.cond1.items():
+                expected = norm_condition_mask(weight, root, level, cfg.c1)
+                np.testing.assert_array_equal(cond1, expected, err_msg=f"{root} level {level}")
+        for level, cond1 in fresh.cond1.items():
             if default_c1:
-                assert 2 * sent.get(level, 0) <= len(cond1), f"{scan.root} level {level}"
+                assert 2 * sent.get(level, 0) <= len(cond1), f"{root} level {level}"
             rows += len(cond1)
             hits += int(np.count_nonzero(cond1))
             total_sent += sent.get(level, 0)
     return rows, hits, total_sent
 
 
-def test_trace_filter_keeps_the_norm_condition_of_every_row(monkeypatch):
+def test_trace_filter_keeps_the_norm_condition_of_every_row():
     rows = hits = sent = 0
     for index in range(200):
         weight, f = random_instance(index)
-        r, h, s = _check_trace_filter(weight, f, default_stopping_config(weight.dim), monkeypatch)
+        r, h, s = _check_trace_filter(weight, f, default_stopping_config(weight.dim))
         rows, hits, sent = rows + r, hits + h, sent + s
     # the pool exercises both sides of the filter and the eigensolve behind it
     assert 0 < hits < sent < rows
@@ -648,8 +644,7 @@ def _extreme_instances(draw):
 @given(instance=_extreme_instances())
 def test_trace_filter_keeps_the_norm_condition_on_extreme_weights(instance):
     weight, f = instance
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_trace_filter(weight, f, default_stopping_config(weight.dim), monkeypatch)
+    _check_trace_filter(weight, f, default_stopping_config(weight.dim))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
