@@ -132,8 +132,10 @@ class _GenerationScan:
         its top eigenvalue is at most t_L <= C1^2/2 < C1^2;
       - cond(<W>_R) <= max_x cond W(x) <= 1/eps_pd, since every Rayleigh
         quotient of <W>_R is a mean of those of the leaves, so the computed
-        trace and eigenvalue lie within about d u / eps_pd (4e-6 at d = 4 and
-        the default eps_pd) of the exact ones, far inside the factor-2 margin;
+        trace and eigenvalue lie within about d^2 u / eps_pd of the exact
+        ones, relatively. MatrixWeight keeps eps_pd >= max(EPS_PD, 8 d^2 u),
+        so this is at most 1/8 (2e-5 at d = 4 and the default eps_pd), inside
+        the factor-2 margin;
       - a NaN or infinite trace fails the comparison and reaches the
         eigensolve, which raises on non-finite input.
     The traces of one level average d, so by Markov's inequality a share below

@@ -33,12 +33,17 @@ class MatrixWeight:
 
     Positivity is enforced per leaf matrix: the smallest eigenvalue must clear
     eps_pd relative to that leaf's largest eigenvalue, so pointwise inverses
-    are trustworthy. The spread across the grid is not enforced; extreme
+    are trustworthy. eps_pd itself may not fall below EPS_PD, nor below
+    4 d^2 times the machine epsilon. The spread across the grid is not enforced; extreme
     power-law weights are legitimate inputs whose leaves are individually well
     conditioned.
     """
 
     def __init__(self, field: GridMatrixField, eps_pd: float = EPS_PD, metadata: dict | None = None):
+        # a floor on eps_pd bounds cond(<W>_I) by 1/eps_pd, which the stopping scan's trace filter needs
+        floor = max(EPS_PD, 4.0 * field.dim * field.dim * float(np.finfo(float).eps))
+        if not eps_pd >= floor:
+            raise ValueError(f"eps_pd {eps_pd:.1e} is below the floor {floor:.1e}")
         vals, vecs = np.linalg.eigh(field.values)
         lo, hi = vals[:, 0], vals[:, -1]
         if np.any(hi <= 0.0) or np.any(lo < -PSD_TOL * hi):

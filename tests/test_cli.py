@@ -189,6 +189,19 @@ def test_a2_subnormal_leaf_exits_2_with_one_line(tmp_path):
                            "whose inverse leaves the float range\n")
 
 
+@pytest.mark.parametrize("eps_pd, shown", [(1e-17, "1.0e-17"), (0.0, "0.0e+00")])
+def test_a2_weight_file_with_eps_pd_below_the_floor_exits_2_with_one_line(tmp_path, eps_pd,
+                                                                         shown):
+    obj = GridMatrixField(1, 2, np.array([np.eye(2), np.diag([1.0, 1e-12])])).to_json_dict()
+    obj["metadata"] = {"eps_pd": eps_pd}
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli("a2", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"matw a2: eps_pd {shown} is below the floor 1.0e-10\n"
+
+
 @pytest.mark.parametrize("kind, dim, depth, param, log2_bound", [
     ("scalar_power", 1, 6, "0.9887", 1050),
     ("scalar_power", 1, 6, "0.99", 1188),

@@ -324,6 +324,18 @@ def test_weight_rejects_singular_leaf():
         MatrixWeight(GridMatrixField(1, 2, vals))
 
 
+@pytest.mark.parametrize("dim, eps_pd, message", [
+    (2, 1e-17, "eps_pd 1.0e-17 is below the floor 1.0e-10"),
+    (2, 0.0, "eps_pd 0.0e+00 is below the floor 1.0e-10"),
+    (2, float("nan"), "eps_pd nan is below the floor 1.0e-10"),
+    (400, 1e-10, "eps_pd 1.0e-10 is below the floor 1.4e-10"),
+], ids=["tiny", "zero", "nan", "large_dim"])
+def test_weight_rejects_eps_pd_below_its_floor(dim, eps_pd, message):
+    # the check comes before any eigensolve, so the 400 x 400 leaf costs nothing
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MatrixWeight(GridMatrixField(0, dim, np.eye(dim)[None]), eps_pd=eps_pd)
+
+
 @pytest.mark.parametrize("leaves, message", [
     ([np.eye(2), np.diag([1e-310, 1e-310])], "leaf 1 has eigenvalue 1.000e-310"),
     ([5e307 * np.eye(2), np.eye(2)], "leaf 0 has eigenvalue 5.000e+307"),
