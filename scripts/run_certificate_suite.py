@@ -47,7 +47,8 @@ def main():
     p.add_argument("--certdir", default=None,
                    help="directory for per-instance certificate JSON files")
     p.add_argument("--recheck", action="store_true",
-                   help="round-trip each certificate through the independent rechecker")
+                   help="recheck each certificate by certifying its instance again with "
+                        "the same code (not independent; see ROADMAP item 11)")
     args = p.parse_args()
 
     outdir = None

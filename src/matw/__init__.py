@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .dyadic import (DyadicInterval, GridMatrixField, GridScalar, GridVector, ROOT,
                      load_field, save_field)
 from .haar import HaarCoefficients, analyze, s3w_norm_squared, sw_norm_squared, synthesize
-from .linalg import hs_norm, operator_norm, psd_power, sym_eigen, trace_of
+from .linalg import operator_norm, psd_power
 from .opnorm import OperatorNormEstimate, PowerIterationOptions, estimate_operator_norm
 from .sparse import (SparseFamily, StoppingConfig, build_sparse_family, certify,
                      default_stopping_config, recheck_certificate, verify_domination,
@@ -29,7 +29,7 @@ __all__ = [
     "DyadicInterval", "GridMatrixField", "GridScalar", "GridVector", "ROOT",
     "load_field", "save_field",
     "HaarCoefficients", "analyze", "s3w_norm_squared", "sw_norm_squared", "synthesize",
-    "hs_norm", "operator_norm", "psd_power", "sym_eigen", "trace_of",
+    "operator_norm", "psd_power",
     "OperatorNormEstimate", "PowerIterationOptions", "estimate_operator_norm",
     "SparseFamily", "StoppingConfig", "build_sparse_family", "certify",
     "default_stopping_config", "recheck_certificate",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SYM_TOL
+SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -150,6 +150,12 @@ class GridMatrixField(_GridField):
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[1:] != (dim, dim):
             raise ValueError(f"expected shape (2^{depth}, {dim}, {dim})")
+        # past half the float range, the sums below and in the average tree overflow
+        huge = np.abs(values) > np.finfo(float).max / 2
+        if huge.any():
+            leaf = int(np.argmax(huge.any(axis=(1, 2))))
+            raise ValueError(f"leaf {leaf} has entry {values[leaf][huge[leaf]][0]:.3e}, "
+                             "beyond half the float range")
         asym = np.max(np.abs(values - values.transpose(0, 2, 1)), initial=0.0)
         scale = np.max(np.abs(values), initial=0.0)
         if asym > SYM_TOL * max(1.0, scale):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dyadic import ROOT, DyadicInterval
 from .haar import HaarCoefficients, analyze, s3w_norm_squared, sw_norm_squared
-from .linalg import hs_norm, operator_norm, psd_power, top_eigenvalue_stack, trace_of
+from .linalg import operator_norm, psd_power, top_eigenvalue_stack
 from .weights import MatrixWeight
 
 DOMINATION_SLACK = 1e-9
@@ -89,9 +89,8 @@ class SparseFamily:
     """The stopping family of one instance (weight, f).
 
     `scans` holds the generation scan that `build_sparse_family` made for
-    every node with children; the type-2 and maximality verifiers read their
-    chain sums, norm-condition masks and thresholds from it. It is not
-    serialized or compared.
+    every node with children; the verifiers read its inverse root, chain sums,
+    norm-condition masks and thresholds. It is not serialized or compared.
     """
 
     depth: int
@@ -313,29 +312,29 @@ def verify_type1_trace_bound(family: SparseFamily, weight: MatrixWeight) -> Trac
                      = sum |L| tr(<W>_R^{-1/2} <W>_L <W>_R^{-1/2})
                      = sum_L int_L tr(<W>_R^{-1/2} W(x) <W>_R^{-1/2}) dx
                     <= int_R tr(...) = d |R|.
+    <W>_R^{-1/2} is the one R's generation scan computed: KeyError without it.
     """
-    c1 = family.config.c1
+    c1, depth = family.config.c1, weight.depth
     rows, all_ok = [], True
     for parent in family.intervals():
-        kids = [family.node(c) for c in family.node(parent).children
+        kids = [c for c in family.node(parent).children
                 if family.node(c).trigger in ("type1", "both")]
         if not kids:
             continue
-        inv_sqrt_parent = psd_power(weight.average(parent), -0.5, weight.eps_pd)
-        mass = sum(k.interval.measure for k in kids)
+        inv_sqrt = family.scans[parent].inv_sqrt_root
+        mass = sum(k.measure for k in kids)
         opnorm_sum = hs_sum = trace_sum = 0.0
         for k in kids:
-            prod = weight.sqrt_average(k.interval) @ inv_sqrt_parent
-            opnorm_sum += k.interval.measure * operator_norm(prod) ** 2
-            hs_sum += k.interval.measure * hs_norm(prod) ** 2
-            trace_sum += k.interval.measure * trace_of(
-                inv_sqrt_parent @ weight.average(k.interval) @ inv_sqrt_parent)
-        leaf_traces = np.einsum("ij,njk,ki->n", inv_sqrt_parent,
-                                weight.field.values, inv_sqrt_parent)
-        leaf_measure = 2.0 ** -weight.depth
-        leaf_integral = float(sum(
-            np.sum(leaf_traces[k.interval.leaf_slice(weight.depth)]) for k in kids) * leaf_measure)
-        full_integral = float(np.sum(leaf_traces[parent.leaf_slice(weight.depth)]) * leaf_measure)
+            prod = weight.sqrt_average(k) @ inv_sqrt
+            opnorm_sum += k.measure * operator_norm(prod) ** 2
+            hs_sum += k.measure * float(np.sum(prod * prod))
+            trace_sum += k.measure * float(np.trace(inv_sqrt @ weight.average(k) @ inv_sqrt))
+        leaves = parent.leaf_slice(depth)
+        lo = leaves.start
+        leaf_traces = np.einsum("ij,njk,ki->n", inv_sqrt, weight.field.values[leaves], inv_sqrt)
+        leaf_integral = float(sum(np.sum(leaf_traces[sl.start - lo:sl.stop - lo])
+                                  for sl in (k.leaf_slice(depth) for k in kids)) * 2.0 ** -depth)
+        full_integral = float(np.sum(leaf_traces) * 2.0 ** -depth)
         d_measure = weight.dim * parent.measure
         steps = {
             "norm_exceeds_threshold": _leq(c1 * c1 * mass, opnorm_sum),
@@ -378,20 +377,15 @@ def verify_type2_weak_bound(family: SparseFamily) -> WeakBoundReport:
     rows, all_ok = [], True
     max_quotient = 0.0
     for parent in family.intervals():
-        kids = [family.node(c) for c in family.node(parent).children
+        kids = [c for c in family.node(parent).children
                 if family.node(c).trigger in ("type2", "both")]
         if not kids:
             continue
-        scan = family.scans[parent]
-        depth = family.depth
-        leaf_chain = scan.chains[depth]
-        contained = True
-        for k in kids:
-            sl = k.interval.leaf_slice(depth)
-            lo = scan.offsets[depth]
-            seg = leaf_chain[sl.start - lo:sl.stop - lo]
-            contained &= bool(np.all(seg > scan.threshold))
-        mass = sum(k.interval.measure for k in kids)
+        scan, depth = family.scans[parent], family.depth
+        lo, leaf_chain = scan.offsets[depth], scan.chains[depth]
+        contained = all(bool(np.all(leaf_chain[sl.start - lo:sl.stop - lo] > scan.threshold))
+                        for sl in (k.leaf_slice(depth) for k in kids))
+        mass = sum(k.measure for k in kids)
         fraction = mass / parent.measure
         quotient = math.sqrt(cfg.c2) * fraction
         max_quotient = max(max_quotient, quotient)
@@ -421,16 +415,14 @@ def verify_maximality(family: SparseFamily) -> MaximalityReport:
     violations = []
     for parent in family.intervals():
         for child in family.node(parent).children:
-            scan = family.scans[parent]
-            ancestor = child.parent() if child.level > parent.level + 1 else None
-            while ancestor is not None and ancestor != parent:
-                if scan.norm_condition_at(ancestor):
-                    violations.append({"ancestor": [ancestor.level, ancestor.index],
-                                       "child": [child.level, child.index], "condition": "norm"})
-                if scan.chain_at(ancestor) > scan.threshold:
-                    violations.append({"ancestor": [ancestor.level, ancestor.index],
-                                       "child": [child.level, child.index], "condition": "chain"})
-                ancestor = ancestor.parent() if ancestor.level > parent.level + 1 else None
+            scan, ancestor = family.scans[parent], child
+            while ancestor.level > parent.level + 1:
+                ancestor = ancestor.parent()
+                held = {"norm": scan.norm_condition_at(ancestor),
+                        "chain": scan.chain_at(ancestor) > scan.threshold}
+                violations += [{"ancestor": [ancestor.level, ancestor.index],
+                                "child": [child.level, child.index], "condition": condition}
+                               for condition, hit in held.items() if hit]
     return MaximalityReport(not violations, violations)
 
 
@@ -465,13 +457,14 @@ def _same(a, b) -> bool:
 
 
 def recheck_certificate(cert: dict, weight: MatrixWeight, f) -> dict:
-    """Independently validate a certificate's claims against the raw instance.
+    """Recheck a certificate against the raw instance by certifying it again.
 
-    Certifies the instance afresh under the certificate's own config and
-    requires the rebuilt family to equal the claimed one exactly: every node
-    with its trigger, parent, children and e_ratio, and every generation. Each
-    rebuilt report must pass and equal the certificate's own. Nothing is taken
-    from the certifying process.
+    Runs `certify` afresh, with the same code, under the certificate's own
+    config, and requires the rebuilt family to equal the claimed one exactly:
+    every node with its trigger, parent, children and e_ratio, and every
+    generation. Each rebuilt report must pass and equal the certificate's own.
+    This rejects a tampered or inconsistent certificate, but not a fault that
+    `certify` itself has; an exact, independent recheck is ROADMAP item 11.
     """
     cfg = _config_from_json(cert["config"])
     if cert["instance"]["depth"] != weight.depth or cert["instance"]["dim"] != weight.dim:

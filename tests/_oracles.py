@@ -80,6 +80,32 @@ def brute_matrix_a2(values: np.ndarray, depth: int) -> float:
     return best
 
 
+def type1_trace_sums(weight, parent: DyadicInterval,
+                     kids: list[DyadicInterval]) -> dict[str, float]:
+    """The five sums of the type-1 trace chain at `parent` over its norm-triggered
+    children, from directly summed averages, their eigh roots, one SVD per child
+    (squared HS norm as the sum of the squared singular values) and the trace of
+    every leaf under the parent, summed one by one."""
+    values, depth = weight.field.values, weight.depth
+    inv_sqrt = _eigh_power(direct_average(values, depth, parent), -0.5)
+
+    def integral(interval: DyadicInterval) -> float:
+        sl = interval.leaf_slice(depth)
+        return sum(float(np.trace(inv_sqrt @ values[x] @ inv_sqrt))
+                   for x in range(sl.start, sl.stop)) * 2.0 ** -depth
+
+    sums = dict.fromkeys(("opnorm_sum", "hs_sum", "trace_sum"), 0.0)
+    for kid in kids:
+        avg = direct_average(values, depth, kid)
+        singular = np.linalg.svd(_eigh_power(avg, 0.5) @ inv_sqrt, compute_uv=False)
+        sums["opnorm_sum"] += kid.measure * float(singular[0]) ** 2
+        sums["hs_sum"] += kid.measure * float(np.sum(singular**2))
+        sums["trace_sum"] += kid.measure * float(np.trace(inv_sqrt @ avg @ inv_sqrt))
+    sums["leaf_integral"] = sum(integral(kid) for kid in kids)
+    sums["full_integral"] = integral(parent)
+    return sums
+
+
 def matrix_power_iteration_norm(m: np.ndarray, iters: int = 5000, tol: float = 1e-13) -> float:
     """Largest singular value by plain power iteration on m^T m."""
     gram = m.T @ m

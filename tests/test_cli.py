@@ -189,6 +189,16 @@ def test_a2_subnormal_leaf_exits_2_with_one_line(tmp_path):
                            "whose inverse leaves the float range\n")
 
 
+def test_a2_leaf_beyond_half_the_float_range_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": "matw.weight/1", "depth": 1, "dim": 1,
+                                "values": [[1.0], [1e308]]}))
+    proc = run_cli("a2", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "matw a2: leaf 1 has entry 1.000e+308, beyond half the float range\n"
+
+
 @pytest.mark.parametrize("eps_pd, shown", [(1e-17, "1.0e-17"), (0.0, "0.0e+00")])
 def test_a2_weight_file_with_eps_pd_below_the_floor_exits_2_with_one_line(tmp_path, eps_pd,
                                                                          shown):

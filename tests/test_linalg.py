@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from matw.linalg import (hs_norm, operator_norm, psd_power, psd_power_stack,
-                         sym_eigen, top_eigenvalue_stack, trace_of)
+from matw.linalg import operator_norm, psd_power, psd_power_stack, top_eigenvalue_stack
 
 from _oracles import matrix_power_iteration_norm
 
@@ -10,39 +9,6 @@ from _oracles import matrix_power_iteration_norm
 def random_pd(rng, d):
     a = rng.standard_normal((d, d))
     return a @ a.T + 0.05 * np.eye(d)
-
-
-def test_eigen_identity():
-    vals, _ = sym_eigen(np.eye(3))
-    assert np.allclose(vals, 1.0)
-
-
-def test_eigen_diagonal_descending():
-    vals, _ = sym_eigen(np.diag([4.0, 9.0]))
-    assert np.allclose(vals, [9.0, 4.0])
-
-
-def test_eigen_two_by_two_characteristic_roots():
-    # det([[2-x,1],[1,2-x]]) = x^2 - 4x + 3, roots 3 and 1
-    vals, vecs = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(vals, [3.0, 1.0], atol=1e-12)
-    assert np.max(np.abs(vecs @ vecs.T - np.eye(2))) <= 1e-10
-
-
-def test_eigen_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(5)
-    for d in range(1, 9):
-        m = random_pd(rng, d) - 0.5 * np.eye(d)
-        vals, vecs = sym_eigen(m)
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert np.max(np.abs(vecs @ vecs.T - np.eye(d))) <= 1e-10
-        recon = (vecs * vals) @ vecs.T
-        assert np.max(np.abs(recon - m)) <= 1e-9 * max(1.0, np.max(np.abs(m)))
-
-
-def test_eigen_rejects_nonsymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_psd_power_diagonal_sqrt():
@@ -126,24 +92,15 @@ def test_operator_norm_matches_power_iteration():
         assert abs(operator_norm(m) - matrix_power_iteration_norm(m)) <= 1e-8 * operator_norm(m)
 
 
-def test_hs_norm_and_trace_identity():
-    assert abs(hs_norm(np.eye(3)) - np.sqrt(3.0)) <= 1e-15
-    assert trace_of(np.eye(3)) == 3.0
-
-
-def test_hs_norm_entrywise():
-    assert abs(hs_norm(np.array([[1.0, 2.0], [3.0, 4.0]])) - np.sqrt(30.0)) <= 1e-14
-
-
 def test_norm_comparisons():
     rng = np.random.default_rng(17)
     for _ in range(100):
         d = int(rng.integers(1, 6))
         m = rng.standard_normal((d, d))
-        op, hs = operator_norm(m), hs_norm(m)
+        op, hs = operator_norm(m), np.linalg.norm(m)
         assert op <= hs * (1 + 1e-12)
         assert hs <= np.sqrt(d) * op * (1 + 1e-12)
-        assert abs(hs**2 - trace_of(m.T @ m)) <= 1e-10 * max(1.0, hs**2)
+        assert abs(hs**2 - np.trace(m.T @ m)) <= 1e-10 * max(1.0, hs**2)
 
 
 def test_operator_norm_submultiplicative():
@@ -152,12 +109,3 @@ def test_operator_norm_submultiplicative():
         a, b = rng.standard_normal((2, 4, 4))
         assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) * (1 + 1e-12)
 
-
-def test_trace_similarity_invariance():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        d = int(rng.integers(2, 6))
-        m = rng.standard_normal((d, d))
-        p = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
-        sim = np.linalg.solve(p, m @ p)
-        assert abs(trace_of(sim) - trace_of(m)) <= 1e-8 * max(1.0, abs(trace_of(m)))

@@ -18,7 +18,8 @@ from matw.linalg import EPS_PD
 from matw.weights import MatrixWeight, WeightFamilySpec, generate_weight, matrix_weight_from_scalar
 
 from _instances import random_instance
-from _oracles import children, norm_condition_mask, random_grid_vector, stopping_children
+from _oracles import (children, direct_average, norm_condition_mask, random_grid_vector,
+                      stopping_children, type1_trace_sums)
 
 
 def scalar_weight(depth, values):
@@ -491,8 +492,9 @@ def test_certify_builds_each_scan_once(instance, monkeypatch):
     import matw.sparse as sparse
 
     weight, f, cfg = instance()
-    scanned, analyzed = [], []
+    scanned, analyzed, powered = [], [], []
     original_init, original_analyze = sparse._GenerationScan.__init__, sparse.analyze
+    original_power = sparse.psd_power
 
     def counting_init(self, weight, coeffs, f_values, root, cfg):
         scanned.append(root)
@@ -502,8 +504,13 @@ def test_certify_builds_each_scan_once(instance, monkeypatch):
         analyzed.append(f)
         return original_analyze(f)
 
+    def counting_power(m, p, eps_pd):
+        powered.append(p)
+        return original_power(m, p, eps_pd)
+
     monkeypatch.setattr(sparse._GenerationScan, "__init__", counting_init)
     monkeypatch.setattr(sparse, "analyze", counting_analyze)
+    monkeypatch.setattr(sparse, "psd_power", counting_power)
     cert = certify(weight, f, cfg)
     assert cert["type2_weak"]["ok"] and cert["maximality"]["ok"]
     # the builder scans every family node above the leaves; the verifiers scan nothing
@@ -511,6 +518,8 @@ def test_certify_builds_each_scan_once(instance, monkeypatch):
                    if n["interval"][0] < weight.depth)
     assert sorted(scanned) == roots
     assert len(analyzed) == 1
+    # one inverse root per scan, which the type-1 verifier reads back
+    assert len(powered) == len(scanned)
     parents = [n for n in cert["family"]["nodes"] if n["children"]]
     assert len(parents) >= 2 if instance is _deep_instance else parents == []
 
@@ -518,12 +527,14 @@ def test_certify_builds_each_scan_once(instance, monkeypatch):
 def test_verifiers_refuse_a_family_without_its_scans():
     weight, f, cfg = _deep_instance()
     family = build_sparse_family(weight, f, cfg)
-    assert {family.node(iv).trigger for iv in family.intervals()} >= {"type2"}
+    assert {family.node(iv).trigger for iv in family.intervals()} >= {"type1", "type2"}
     bare = dataclasses.replace(family, scans={})
     with pytest.raises(KeyError):
         verify_type2_weak_bound(bare)
     with pytest.raises(KeyError):
         verify_maximality(bare)
+    with pytest.raises(KeyError):
+        verify_type1_trace_bound(bare, weight)
 
 
 def test_recheck_rejects_wrong_instance():
@@ -555,11 +566,16 @@ def write_golden_digests():
     GOLDEN_DIGESTS.write_text("".join(d + "\n" for d in certificate_digests()))
 
 
-def test_certificates_match_golden_digests():
+def moved_certificate_digests() -> list[int]:
+    """Indices of random_instance whose certificate digest differs from the golden one."""
     golden = GOLDEN_DIGESTS.read_text().split()
-    assert len(golden) == 200
-    for index, (got, want) in enumerate(zip(certificate_digests(len(golden)), golden)):
-        assert got == want, f"certificate of random_instance({index}) differs from the golden digest"
+    return [index for index, (got, want) in enumerate(zip(certificate_digests(len(golden)), golden))
+            if got != want]
+
+
+def test_certificates_match_golden_digests():
+    assert len(GOLDEN_DIGESTS.read_text().split()) == 200
+    assert moved_certificate_digests() == []
 
 
 def _check_trace_filter(weight, f, cfg) -> tuple[int, int, int]:
@@ -645,6 +661,35 @@ def _extreme_instances(draw):
 def test_trace_filter_keeps_the_norm_condition_on_extreme_weights(instance):
     weight, f = instance
     _check_trace_filter(weight, f, default_stopping_config(weight.dim))
+
+
+def _check_type1_trace_sums(weight, f) -> int:
+    """Every per-node sum of verify_type1_trace_bound equals the oracle's within
+    1e-12 relative, widened to 32 u cond(<W>_R) for an ill-conditioned parent
+    average: both routes invert it, so neither is closer than that. Returns the
+    number of parents checked."""
+    family = build_sparse_family(weight, f, default_stopping_config(weight.dim))
+    rows = verify_type1_trace_bound(family, weight).per_node
+    for row in rows:
+        parent = DyadicInterval(*row["interval"])
+        kids = [c for c in family.node(parent).children
+                if family.node(c).trigger in ("type1", "both")]
+        cond = np.linalg.cond(direct_average(weight.field.values, weight.depth, parent))
+        rel = max(1e-12, 32 * np.finfo(float).eps * cond)
+        for key, want in type1_trace_sums(weight, parent, kids).items():
+            assert abs(row[key] - want) <= rel * abs(want), f"{parent} {key}"
+    return len(rows)
+
+
+def test_type1_trace_sums_match_the_oracle():
+    carrying = [index for index in range(1000) if _check_type1_trace_sums(*random_instance(index))]
+    assert len(carrying) == 34
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_extreme_instances())
+def test_type1_trace_sums_match_the_oracle_on_extreme_weights(instance):
+    _check_type1_trace_sums(*instance)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -1,3 +1,4 @@
+import csv
 import math
 import pathlib
 
@@ -90,10 +91,69 @@ def test_records_sorted_by_t_then_seed():
         ["0.1", "0"], ["0.1", "1"], ["0.9", "0"]]
 
 
+def _csv_cells(text: str) -> dict[str, list[str]]:
+    """The cells of each CSV column, and each '# key=value' footer entry as a one-cell column."""
+    lines = text.splitlines()
+    header, *rows = csv.reader(line for line in lines if not line.startswith("# "))
+    cells = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    cells.update(("# " + key, [value]) for key, value in
+                 (line[2:].split("=", 1) for line in lines if line.startswith("# ")))
+    return cells
+
+
+def _relative_diff(a: str, b: str) -> float:
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return 0.0 if a == b else math.inf
+    if a == b or x == y:
+        return 0.0
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return diff if math.isfinite(diff) else math.inf
+
+
+def csv_column_diffs(new: str, old: str) -> dict[str, float]:
+    """Max relative difference per column (and footer entry) of two sweep CSVs:
+    0 where the text is equal, inf where a cell is not a number or a column is
+    missing or of another length."""
+    new_cells, old_cells = _csv_cells(new), _csv_cells(old)
+    return {name: max(map(_relative_diff, new_cells[name], old_cells[name]), default=0.0)
+            if len(new_cells.get(name, ())) == len(old_cells.get(name, ())) else math.inf
+            for name in sorted(new_cells.keys() | old_cells.keys())}
+
+
+def golden_csv_column_diffs() -> dict[str, float]:
+    """csv_column_diffs of the golden sweep, rerun, against golden_sweep.csv. For a
+    change that moves the last bits, report it with
+    PYTHONPATH=src:tests python -c "import test_sweep as t; print(t.golden_csv_column_diffs())"
+    """
+    records, meta = run_sweep(small_config())
+    return csv_column_diffs(csv_bytes(records, meta).decode(),
+                            (DATA / "golden_sweep.csv").read_text())
+
+
+def test_csv_column_diffs_reports_each_moved_column():
+    golden = (DATA / "golden_sweep.csv").read_text()
+    assert set(csv_column_diffs(golden, golden).values()) == {0.0}
+    moved = golden.replace("1.2527286935155022", "1.2527286935155024", 1)
+    moved = moved.replace("True,True,\n", "True,False,\n", 1)
+    moved = moved.replace("# stopping_c1=2.0", "# stopping_c1=2.5")
+    diffs = csv_column_diffs(moved, golden)
+    assert {name for name, diff in diffs.items() if diff} == {"a2", "domination_ok",
+                                                               "# stopping_c1"}
+    assert 0.0 < diffs["a2"] < 1e-15
+    assert diffs["domination_ok"] == math.inf
+    assert diffs["# stopping_c1"] == 0.2
+    lines = golden.splitlines(keepends=True)
+    dropped = csv_column_diffs("".join(lines[:6] + lines[7:]), golden)
+    assert {diff for name, diff in dropped.items() if not name.startswith("#")} == {math.inf}
+
+
 def test_golden_csv_regression():
     records, meta = run_sweep(small_config())
+    got = csv_bytes(records, meta)
     golden = (DATA / "golden_sweep.csv").read_bytes()
-    assert csv_bytes(records, meta) == golden
+    assert got == golden, csv_column_diffs(got.decode(), golden.decode())
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
