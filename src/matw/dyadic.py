@@ -82,6 +82,13 @@ class _GridField:
             raise ValueError(f"expected {1 << depth} leaf values, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite entries")
+        # past half the float range, the sums of the average tree overflow
+        rows = values.reshape(len(values), -1)
+        huge = np.abs(rows) > np.finfo(float).max / 2
+        if huge.any():
+            leaf = int(np.argmax(huge.any(axis=1)))
+            raise ValueError(f"leaf {leaf} has entry {rows[leaf][huge[leaf]][0]:.3e}, "
+                             "beyond half the float range")
         values.flags.writeable = False
         self.depth = depth
         self.values = values
@@ -150,19 +157,16 @@ class GridMatrixField(_GridField):
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[1:] != (dim, dim):
             raise ValueError(f"expected shape (2^{depth}, {dim}, {dim})")
-        # past half the float range, the sums below and in the average tree overflow
-        huge = np.abs(values) > np.finfo(float).max / 2
-        if huge.any():
-            leaf = int(np.argmax(huge.any(axis=(1, 2))))
-            raise ValueError(f"leaf {leaf} has entry {values[leaf][huge[leaf]][0]:.3e}, "
-                             "beyond half the float range")
+        super().__init__(depth, values)
+        values = self.values
         asym = np.max(np.abs(values - values.transpose(0, 2, 1)), initial=0.0)
         scale = np.max(np.abs(values), initial=0.0)
         if asym > SYM_TOL * max(1.0, scale):
             raise ValueError(f"matrix values not symmetric (defect {asym:.3e})")
-        # symmetrize exactly so downstream eigensolves see honest input
-        values = 0.5 * (values + values.transpose(0, 2, 1))
-        super().__init__(depth, values)
+        # symmetrize exactly so downstream eigensolves see honest input; the base
+        # class's range check keeps this sum finite
+        self.values = 0.5 * (values + values.transpose(0, 2, 1))
+        self.values.flags.writeable = False
         self.dim = dim
 
     def to_json_dict(self) -> dict:

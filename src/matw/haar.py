@@ -74,10 +74,13 @@ def sw_norm_squared(weight: MatrixWeight, f: GridVector) -> SwNormResult:
         raise ValueError("weight and function dimensions do not match")
     coeffs = analyze(f)
     terms = []
-    for k, c in enumerate(coeffs.levels):
-        avg = weight.level_averages(k)
-        terms.append(np.einsum("ni,nij,nj->n", c, avg, c))
-    total = float(sum(np.sum(t) for t in terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, c in enumerate(coeffs.levels):
+            avg = weight.level_averages(k)
+            terms.append(np.einsum("ni,nij,nj->n", c, avg, c))
+        total = float(sum(np.sum(t) for t in terms))
+    if not np.isfinite(total):
+        raise ValueError("||S_W f||^2 overflows the float range")
     return SwNormResult(total, terms)
 
 
@@ -85,9 +88,12 @@ def s3w_norm_squared(weight: MatrixWeight, g: GridVector, family) -> float:
     """Sparse square function energy sum_L <|| <W>_L^{1/2} g ||>_L^2 |L|."""
     intervals = family.intervals() if hasattr(family, "intervals") else family
     total = 0.0
-    for interval in intervals:
-        root_w = weight.sqrt_average(interval)
-        block = g.values[interval.leaf_slice(g.depth)]
-        mean_norm = float(np.mean(np.linalg.norm(block @ root_w, axis=1)))
-        total += mean_norm * mean_norm * interval.measure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for interval in intervals:
+            root_w = weight.sqrt_average(interval)
+            block = g.values[interval.leaf_slice(g.depth)]
+            mean_norm = float(np.mean(np.linalg.norm(block @ root_w, axis=1)))
+            total += mean_norm * mean_norm * interval.measure
+    if not np.isfinite(total):
+        raise ValueError("the sparse square function energy overflows the float range")
     return total

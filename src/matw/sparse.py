@@ -152,10 +152,14 @@ class _GenerationScan:
         trace_clear = 0.5 * cfg.c1 * cfg.c1
         sqrt_root = weight.sqrt_average(root)
         block = f_values[root.leaf_slice(depth)]
-        mean_norm = float(np.mean(np.linalg.norm(block @ sqrt_root, axis=1)))
-        self.threshold = cfg.c2 * mean_norm * mean_norm
         c_root = coeffs.levels[root.level][root.index]
-        self.root_chain = float(c_root @ avg_root @ c_root) * 2.0**root.level
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_norm = float(np.mean(np.linalg.norm(block @ sqrt_root, axis=1)))
+            self.threshold = cfg.c2 * mean_norm * mean_norm
+            self.root_chain = float(c_root @ avg_root @ c_root) * 2.0**root.level
+        if not (np.isfinite(self.threshold) and np.isfinite(self.root_chain)):
+            raise ValueError(f"the stopping threshold or chain sum at interval "
+                             f"({root.level}, {root.index}) overflows the float range")
 
         self.offsets: dict[int, int] = {}
         self.chains: dict[int, np.ndarray] = {}
@@ -283,6 +287,9 @@ def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> Dominati
     cfg = family.config
     lhs = sw_norm_squared(weight, f).total
     rhs = cfg.c1 * cfg.c1 * cfg.c2 * s3w_norm_squared(weight, f, family)
+    if not np.isfinite(rhs):
+        raise ValueError("C1^2 C2 times the sparse square function energy overflows "
+                         "the float range")
     return DominationReport(lhs <= rhs * (1.0 + DOMINATION_SLACK), lhs, rhs, rhs - lhs)
 
 

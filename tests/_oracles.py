@@ -15,6 +15,7 @@ import numpy as np
 from matw.dyadic import DyadicInterval, GridScalar, GridVector
 from matw.haar import HaarCoefficients, analyze, synthesize
 from matw.linalg import psd_power
+from matw.opnorm import OperatorNormEstimate, rayleigh_quotient, start_vector
 from matw.sparse import _GenerationScan
 
 ENUMERATION_CAP = 22
@@ -121,6 +122,39 @@ def matrix_power_iteration_norm(m: np.ndarray, iters: int = 5000, tol: float = 1
             break
         lam = new_lam
     return float(np.sqrt(new_lam))
+
+
+def power_iteration_reference(weight, opts) -> OperatorNormEstimate:
+    """The power loop of `estimate_operator_norm` on per-level (2^k, d) arrays.
+
+    Each step analyzes the iterate with `matw.haar.analyze`, multiplies level k
+    by <W>_I as an (n, d, d) einsum, and synthesizes with `matw.haar.synthesize`.
+    """
+    def multiplier(coeffs: HaarCoefficients) -> HaarCoefficients:
+        weighted = [np.einsum("nij,nj->ni", weight.level_averages(k), c)
+                    for k, c in enumerate(coeffs.levels)]
+        return HaarCoefficients(coeffs.depth, coeffs.dim, np.zeros(coeffs.dim), weighted)
+
+    f = start_vector(weight, opts.seed)
+    weighted = multiplier(analyze(f))
+    lam_prev = None
+    converged = False
+    iters = 0
+    for iters in range(1, opts.max_iters + 1):
+        image = synthesize(weighted, include_mean=False).values
+        g_vals = np.einsum("nij,nj->ni", weight.inverse_field.values, image)
+        norm = np.sqrt(float(np.sum(image * g_vals)) * 2.0 ** -weight.depth)
+        if norm == 0.0:
+            break
+        f = GridVector(weight.depth, weight.dim, g_vals / norm)
+        coeffs = analyze(f)
+        weighted = multiplier(coeffs)
+        lam = float(sum(np.sum(c * wc) for c, wc in zip(coeffs.levels, weighted.levels)))
+        if lam_prev is not None and abs(lam - lam_prev) <= opts.rel_tol * max(lam, 1e-300):
+            converged = True
+            break
+        lam_prev = lam
+    return OperatorNormEstimate(rayleigh_quotient(weight, f), f, iters, converged)
 
 
 def haar_leaf_values(depth: int, level: int, index: int) -> np.ndarray:

@@ -227,3 +227,35 @@ def test_genweight_parameter_past_the_float_range_exits_2_with_one_line(
     assert proc.stderr == (f"matw genweight: {kind} parameter {param} at depth {depth}, dim {dim} "
                            f"puts |log2| of its leaf eigenvalues up to {log2_bound}, "
                            "past the float range's 1022\n")
+
+
+@pytest.mark.parametrize("command", ["swnorm", "sparse"])
+@pytest.mark.parametrize("leaves, reason", [
+    ([1e308, 1e308], "leaf 0 has entry 1.000e+308, beyond half the float range"),
+    ([1e200, -1e200], None),
+], ids=["past_half_range", "energy_overflows"])
+def test_overflowing_function_exits_2_with_one_line(tmp_path, command, leaves, reason):
+    weight = tmp_path / "w.json"
+    assert main(["genweight", "--kind", "identity", "--dim", "1", "--depth", "1",
+                 "--out", str(weight)]) == 0
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"schema": "matw.gridvector/1", "depth": 1, "dim": 1,
+                             "values": [[v] for v in leaves]}))
+    proc = run_cli(command, str(weight), "--f", str(f))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    if reason is None:
+        reason = {"swnorm": "||S_W f||^2 overflows the float range",
+                  "sparse": "the stopping threshold or chain sum at interval (0, 0) "
+                            "overflows the float range"}[command]
+    assert proc.stderr == f"matw {command}: {reason}\n"
+
+
+def test_opnorm_at_depth_zero_reports_zero(tmp_path):
+    weight = tmp_path / "w.json"
+    assert main(["genweight", "--kind", "identity", "--dim", "2", "--depth", "0",
+                 "--out", str(weight)]) == 0
+    proc = run_cli("opnorm", str(weight))
+    assert proc.returncode == 0 and proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert (out["sw_normsq_est"], out["iters"], out["converged"]) == (0.0, 0, True)

@@ -112,6 +112,19 @@ def test_shape_and_finiteness_validation():
         GridVector(1, 2, [[1.0, np.inf], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("maker", [
+    lambda big: GridScalar(1, [1.0, big]),
+    lambda big: GridVector(1, 2, [[1.0, 0.0], [0.0, big]]),
+    lambda big: GridMatrixField(1, 1, [[[1.0]], [[big]]]),
+], ids=["scalar", "vector", "matrix"])
+def test_entries_beyond_half_the_float_range_rejected(maker):
+    # the average tree sums two children before halving, so this is the largest safe entry
+    half = np.finfo(float).max / 2
+    maker(half).average_tree()
+    with pytest.raises(ValueError, match="leaf 1 has entry -1.798e\\+308, beyond half"):
+        maker(-np.nextafter(2 * half, 0.0))
+
+
 def test_values_are_immutable():
     f = GridScalar(1, [1.0, 2.0])
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from matw.opnorm import (PowerIterationOptions, apply_form, estimate_operator_no
 from matw.haar import analyze, sw_norm_squared
 from matw.weights import WeightFamilySpec, generate_weight, matrix_weight_from_scalar
 
-from _oracles import dense_top_generalized_eigenvalue, random_grid_vector
+from _oracles import (dense_top_generalized_eigenvalue, power_iteration_reference,
+                      random_grid_vector)
 
 
 def test_identity_weight_norm_is_one():
@@ -41,13 +42,67 @@ def test_apply_form_matches_quadratic_form():
 def test_power_step_analyzes_each_iterate_once(monkeypatch):
     import matw.opnorm as mopnorm
     calls = []
-    original = mopnorm.analyze
-    monkeypatch.setattr(mopnorm, "analyze", lambda f: calls.append(f) or original(f))
+    original = mopnorm._HaarHeap.analyze
+    monkeypatch.setattr(mopnorm._HaarHeap, "analyze",
+                        lambda heap: calls.append(heap) or original(heap))
     w = generate_weight(WeightFamilySpec("random_log_pd", 2, 5, parameter=1.0, seed=9))
     est = estimate_operator_norm(w)
     # the start vector plus one analysis per step; the final Rayleigh quotient
     # goes through haar.sw_norm_squared
     assert len(calls) == est.iters + 1
+
+
+FAMILY_PARAMETERS = {"identity": 0.0, "scalar_power": 0.4, "block_scalar": 0.6,
+                     "rotating": 1.5, "random_log_pd": 1.0}
+
+
+def test_heap_loop_matches_per_level_reference_loop():
+    # d = 1 runs the same floating-point operations in the same order; for
+    # d > 1 the d x d products and the sums over d components are ordered
+    # differently, which moves the value in the last bits only
+    opts = PowerIterationOptions(rel_tol=1e-9)
+    for kind, t in FAMILY_PARAMETERS.items():
+        for dim in ((2,) if kind == "rotating" else (1, 2, 3, 4)):
+            for depth in range(1, 9):
+                w = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t, seed=depth))
+                est, ref = estimate_operator_norm(w, opts), power_iteration_reference(w, opts)
+                case = (kind, dim, depth)
+                assert (est.iters, est.converged) == (ref.iters, ref.converged), case
+                if dim == 1:
+                    assert est.value == ref.value, case
+                    assert np.array_equal(est.witness.values, ref.witness.values), case
+                else:
+                    assert abs(est.value - ref.value) <= 1e-13 * ref.value, case
+
+
+@pytest.mark.parametrize("depth, dim, parent_peak", [(16, 1, 4_466_343), (12, 4, 1_121_465)])
+def test_power_iteration_peak_memory(depth, dim, parent_peak):
+    """Traced peak of one estimate against the per-level loop it replaced.
+
+    That loop peaked at 4,465,401-4,466,343 bytes at (N, d) = (16, 1) and at
+    1,121,392-1,121,465 bytes at (12, 4), over three tracemalloc runs of the
+    same call (numpy 2.4); the bound takes the highest. The heap loop may add, for d > 1, its (d, d, n) copies of
+    <W>_I and of W^-1, 2 * 2^N * d^2 doubles; nothing else of that size.
+    """
+    import tracemalloc
+    w = generate_weight(WeightFamilySpec("random_log_pd", dim, depth, parameter=1.0, seed=0))
+    tracemalloc.start()
+    try:
+        estimate_operator_norm(w, PowerIterationOptions(max_iters=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowed = parent_peak + (0 if dim == 1 else 2 * (1 << depth) * dim * dim * 8)
+    assert peak <= allowed
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_depth_zero_norm_is_zero_with_normalized_constant_witness(dim):
+    w = generate_weight(WeightFamilySpec("random_log_pd", dim, 0, parameter=1.0, seed=2))
+    est = estimate_operator_norm(w)
+    assert (est.value, est.iters, est.converged) == (0.0, 0, True)
+    assert np.count_nonzero(est.witness.values) == 1
+    assert abs(weighted_l2_sq(w, est.witness) - 1.0) <= 1e-15
 
 
 def test_power_iteration_agrees_with_dense_solver():

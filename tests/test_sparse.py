@@ -214,6 +214,17 @@ def test_domination_zero_function():
     assert report.ok and report.lhs == 0.0 and report.rhs == 0.0
 
 
+def test_domination_refuses_an_overflowing_right_side():
+    # ||S_W f||^2 = 3.6e305 and the threshold 256 * 3.6e305 are finite, but
+    # C1^2 C2 = 1024 times the sparse energy is not
+    w = generate_weight(WeightFamilySpec("identity", 1, 1))
+    f = GridVector(1, 1, [[6e152], [-6e152]])
+    family = build_sparse_family(w, f, default_stopping_config(1))
+    assert sw_norm_squared(w, f).total == pytest.approx(3.6e305)
+    with pytest.raises(ValueError, match="C1\\^2 C2 times the sparse square function energy"):
+        verify_domination(w, f, family)
+
+
 def test_randomized_suite_all_verifications():
     worst_ratio = 1.0
     for index in range(120):
