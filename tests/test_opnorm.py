@@ -81,8 +81,9 @@ def test_power_iteration_peak_memory(depth, dim, parent_peak):
 
     That loop peaked at 4,465,401-4,466,343 bytes at (N, d) = (16, 1) and at
     1,121,392-1,121,465 bytes at (12, 4), over three tracemalloc runs of the
-    same call (numpy 2.4); the bound takes the highest. The heap loop may add, for d > 1, its (d, d, n) copies of
-    <W>_I and of W^-1, 2 * 2^N * d^2 doubles; nothing else of that size.
+    same call (numpy 2.4); the bound takes the highest. The heap loop may add,
+    for d > 1, its (d, d, n) copies of <W>_I and of W^-1, 2 * 2^N * d^2
+    doubles; nothing else of that size.
     """
     import tracemalloc
     w = generate_weight(WeightFamilySpec("random_log_pd", dim, depth, parameter=1.0, seed=0))
