@@ -157,7 +157,7 @@ class _GenerationScan:
             mean_norm = float(np.mean(np.linalg.norm(block @ sqrt_root, axis=1)))
             self.threshold = cfg.c2 * mean_norm * mean_norm
             self.root_chain = float(c_root @ avg_root @ c_root) * 2.0**root.level
-        if not (np.isfinite(self.threshold) and np.isfinite(self.root_chain)):
+        if not (math.isfinite(self.threshold) and math.isfinite(self.root_chain)):
             raise ValueError(f"the stopping threshold or chain sum at interval "
                              f"({root.level}, {root.index}) overflows the float range")
 
@@ -287,7 +287,7 @@ def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> Dominati
     cfg = family.config
     lhs = sw_norm_squared(weight, f).total
     rhs = cfg.c1 * cfg.c1 * cfg.c2 * s3w_norm_squared(weight, f, family)
-    if not np.isfinite(rhs):
+    if not math.isfinite(rhs):
         raise ValueError("C1^2 C2 times the sparse square function energy overflows "
                          "the float range")
     return DominationReport(lhs <= rhs * (1.0 + DOMINATION_SLACK), lhs, rhs, rhs - lhs)

@@ -654,7 +654,9 @@ def _extreme_instances(draw):
     eps_pd and scales s(x) anywhere in [1e-250, 1e250], plus a random f."""
     dim, depth = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     ratio_exp = draw(st.floats(0.0, 10.0))
-    lo_exp, hi_exp = sorted(draw(st.lists(st.floats(-250.0, 250.0), min_size=2, max_size=2)))
+    # + 0.0 turns a drawn -0.0 into 0.0: numpy's uniform rejects high = -0.0 above low = 0.0
+    lo_exp, hi_exp = sorted(x + 0.0 for x in draw(st.lists(st.floats(-250.0, 250.0),
+                                                           min_size=2, max_size=2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = 1 << depth
     floor = max(10.0 ** -ratio_exp, 1.01 * EPS_PD)
