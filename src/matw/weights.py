@@ -3,7 +3,13 @@
 A weight is a grid of symmetric positive definite matrices. Averages of the
 weight and of its pointwise inverse are cached over the whole dyadic tree at
 construction, because every characteristic and every stopping-time query walks
-those averages at all scales.
+those averages at all scales. Square roots of the averages are taken only for
+the intervals that ask for one.
+
+A2 bounds every interval's top eigenvalue from the traces of <W>_I <W^-1>_I and
+its square (Wolkowicz-Styan), and eigensolves only the intervals whose bound
+reaches the largest eigenvalue found, so it reads the same bits as an
+eigensolve of every interval.
 
 The A-infinity characteristic of a matrix weight is a supremum over directions
 and is not computable exactly; ainfty_characteristic samples coordinate
@@ -65,7 +71,7 @@ class MatrixWeight:
         self.inverse_field = inverse_field
         self.eps_pd = eps_pd
         self.metadata = dict(metadata) if metadata else {}
-        self._sqrt_levels: dict[int, np.ndarray] = {}
+        self._sqrt_cache: dict[DyadicInterval, np.ndarray] = {}
         # averages at every scale are queried constantly; build both trees now
         self.field.average_tree()
         self.inverse_field.average_tree()
@@ -98,14 +104,13 @@ class MatrixWeight:
     def level_averages(self, level: int) -> np.ndarray:
         return self.field.level_averages(level)
 
-    def sqrt_level_averages(self, level: int) -> np.ndarray:
-        """<W>_I^{1/2} for every interval at one level, cached."""
-        if level not in self._sqrt_levels:
-            self._sqrt_levels[level] = psd_power_stack(self.level_averages(level), 0.5)
-        return self._sqrt_levels[level]
-
     def sqrt_average(self, interval: DyadicInterval) -> np.ndarray:
-        return self.sqrt_level_averages(interval.level)[interval.index]
+        """<W>_I^{1/2}, cached by interval; psd_power_stack on a stack of one
+        reads the same bits as on the interval's whole level."""
+        if interval not in self._sqrt_cache:
+            row = self.level_averages(interval.level)[interval.index:interval.index + 1]
+            self._sqrt_cache[interval] = psd_power_stack(row, 0.5)[0]
+        return self._sqrt_cache[interval]
 
     def to_json_dict(self) -> dict:
         obj = self.field.to_json_dict()
@@ -135,18 +140,74 @@ def matrix_weight_from_scalar(w: GridScalar, eps_pd: float = EPS_PD) -> MatrixWe
     return MatrixWeight(field, eps_pd=eps_pd)
 
 
+def _a2_trace_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An upper bound of the top eigenvalue of each product a @ b in two stacks
+    (n, d, d) of positive definite matrices; NaN or inf where it overflows.
+
+    The eigenvalues of M = a b are those of the PSD sandwich a^{1/2} b a^{1/2},
+    so with t = tr M, t2 = tr M^2, m = t/d and s^2 = t2/d - m^2 the top one is
+    at most m + sqrt((d-1) s^2) (Wolkowicz-Styan, Linear Algebra Appl. 29,
+    1980). The rounding margin delta is set per row. Let u be the unit roundoff
+    and K = ||a|| ||b|| / lambda_max, so K <= cond(a) <= 1/eps_pd; the cheap
+    k = d tr(a) tr(b) / t has K <= k <= d^3 K. To first order in u, the
+    computed t lies within 2 d^2 u K lambda_max of the exact one, t2 within
+    3 d^3 u K^2 lambda_max^2, and the eigenvalue that a2_characteristic
+    computes within a few d u K lambda_max. So delta = 64 d^4 u k^2 inflates
+    s^2 by delta t2 / d and the bound by the factor 1 + delta. As the t2 error
+    grows like K^2, a delta fixed from eps_pd alone, 64 d^4 u / eps_pd^2, would
+    exceed 1 at the default eps_pd and skip nothing; per row it is 4e-9 in the
+    median leaf of random_log_pd at d = 4, t = 1, and 32 eps at d = 1. A row
+    whose delta leaves first order (above 1/16) gets the bound inf.
+    """
+    d = a.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ab = a @ b
+        t = np.einsum("nii->n", ab)
+        t2 = np.einsum("nij,nji->n", ab, ab)
+        k = d * np.einsum("nii->n", a) * np.einsum("nii->n", b) / t
+        delta = 32.0 * d**4 * float(np.finfo(float).eps) * k * k
+        m = t / d
+        s2 = np.maximum(t2 / d - m * m, 0.0) + delta * t2 / d
+        bound = (m + np.sqrt((d - 1) * s2)) * (1.0 + delta)
+    return np.where(delta <= 1.0 / 16.0, bound, np.inf)
+
+
+def _a2_sandwich_tops(weight: MatrixWeight, level: int, rows: np.ndarray) -> np.ndarray:
+    """Top eigenvalues of <W>_I^{1/2} <W^-1>_I <W>_I^{1/2} for the given rows of one level."""
+    sqrt_w = psd_power_stack(weight.level_averages(level)[rows], 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sandwich = sqrt_w @ weight.inverse_field.level_averages(level)[rows] @ sqrt_w
+    if not np.all(np.isfinite(sandwich)):
+        raise ValueError(f"A2 overflows at level {level}: "
+                         "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries")
+    return top_eigenvalue_stack(sandwich)
+
+
 def a2_characteristic(weight: MatrixWeight) -> float:
     """sup over all dyadic intervals of ||<W>_I^{1/2} <W^-1>_I^{1/2}||^2, each
-    the top eigenvalue of <W>_I^{1/2} <W^-1>_I <W>_I^{1/2}."""
-    best = 0.0
-    for level in range(weight.depth + 1):
-        sqrt_w = weight.sqrt_level_averages(level)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sandwich = sqrt_w @ weight.inverse_field.level_averages(level) @ sqrt_w
-        if not np.all(np.isfinite(sandwich)):
-            raise ValueError(f"A2 overflows at level {level}: "
-                             "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries")
-        best = max(best, float(np.max(top_eigenvalue_stack(sandwich))))
+    the top eigenvalue of <W>_I^{1/2} <W^-1>_I <W>_I^{1/2}.
+
+    The interval with the largest trace bound (_a2_trace_bounds) is eigensolved
+    first; then every interval whose bound is not below that value, NaN and
+    inf included, level by level. An interval left out has a computed
+    eigenvalue below its bound, so it could not have set the max, and the
+    result is the same float as an eigensolve of every interval. If the first
+    eigensolve fails, every interval is kept, and the first failing level
+    raises, as a full pass would.
+    """
+    inverse = weight.inverse_field
+    bounds = [_a2_trace_bounds(weight.level_averages(level), inverse.level_averages(level))
+              for level in range(weight.depth + 1)]
+    level = int(np.argmax([np.max(bound) for bound in bounds]))  # a NaN is taken first
+    try:
+        first_top = float(_a2_sandwich_tops(weight, level, np.array([np.argmax(bounds[level])]))[0])
+    except ValueError:
+        first_top = 0.0
+    best = first_top
+    for level, bound in enumerate(bounds):
+        rows = np.flatnonzero(~(bound < first_top))
+        if rows.size:
+            best = max(best, float(np.max(_a2_sandwich_tops(weight, level, rows))))
     return best
 
 
@@ -173,11 +234,11 @@ def fujii_wilson_constant(w: GridScalar) -> float:
     tree = w.average_tree()
     depth = w.depth
     best = 1.0
-    running = tree[depth]
+    running = tree[depth].copy()
     for root_level in range(depth, -1, -1):
-        running = np.maximum(running, np.repeat(tree[root_level], 1 << (depth - root_level)))
-        maximal_means = running.reshape(1 << root_level, -1).mean(axis=1)
-        best = max(best, float(np.max(maximal_means / tree[root_level])))
+        view = running.reshape(1 << root_level, -1)  # row j: the leaves under (root_level, j)
+        np.maximum(view, tree[root_level][:, None], out=view)
+        best = max(best, float(np.max(view.mean(axis=1) / tree[root_level])))
     return best
 
 

@@ -6,15 +6,17 @@ iteration. The exceptions start from `matw.haar.analyze`: the martingale
 transform (which also calls `synthesize`), sign enumeration, Monte Carlo and
 the unweighted square function; `stopping_children` runs the library's own
 generation scan; `norm_condition_mask` takes the weight's averages and
-`psd_power`. `test_analyze_matches_haar_inner_products` pins `analyze`
-against `haar_leaf_values` coefficient by coefficient.
+`psd_power`; `a2_every_interval_reference` is the library's former A2 loop,
+which eigensolves every interval with the library's own `psd_power_stack` and
+`top_eigenvalue_stack`. `test_analyze_matches_haar_inner_products` pins
+`analyze` against `haar_leaf_values` coefficient by coefficient.
 """
 
 import numpy as np
 
 from matw.dyadic import DyadicInterval, GridScalar, GridVector
 from matw.haar import HaarCoefficients, analyze, synthesize
-from matw.linalg import psd_power
+from matw.linalg import psd_power, psd_power_stack, top_eigenvalue_stack
 from matw.opnorm import OperatorNormEstimate, rayleigh_quotient, start_vector
 from matw.sparse import _GenerationScan
 
@@ -78,6 +80,22 @@ def brute_matrix_a2(values: np.ndarray, depth: int) -> float:
             prod = (_eigh_power(direct_average(values, depth, iv), 0.5)
                     @ _eigh_power(direct_average(inverse, depth, iv), 0.5))
             best = max(best, float(np.linalg.svd(prod, compute_uv=False)[0]) ** 2)
+    return best
+
+
+def a2_every_interval_reference(weight) -> float:
+    """A2 with one batched square root and one batched eigensolve of the
+    sandwich per level, every interval included. a2_characteristic must return
+    the same bits, and raise the same message on an overflowing level."""
+    best = 0.0
+    for level in range(weight.depth + 1):
+        sqrt_w = psd_power_stack(weight.level_averages(level), 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sandwich = sqrt_w @ weight.inverse_field.level_averages(level) @ sqrt_w
+        if not np.all(np.isfinite(sandwich)):
+            raise ValueError(f"A2 overflows at level {level}: "
+                             "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries")
+        best = max(best, float(np.max(top_eigenvalue_stack(sandwich))))
     return best
 
 

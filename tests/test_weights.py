@@ -2,8 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matw.dyadic import GridMatrixField, GridScalar
+import matw.weights as mweights
+from matw.dyadic import DyadicInterval, GridMatrixField, GridScalar
+from matw.linalg import psd_power_stack
 from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                           ainfty_characteristic, ainfty_directions,
                           fujii_wilson_constant, generate_weight,
@@ -11,7 +15,8 @@ from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                           matrix_weight_from_scalar, save_weight, scalar_direction_weight,
                           scalar_power_leaf_values)
 
-from _oracles import brute_fujii_wilson, brute_matrix_a2, brute_scalar_a2
+from _oracles import (a2_every_interval_reference, brute_fujii_wilson, brute_matrix_a2,
+                      brute_scalar_a2)
 
 # family-calibration regression value, frozen from this implementation
 GOLDEN_SCALAR_POWER_A2_N10_T05 = 877.428572041448
@@ -79,15 +84,125 @@ def test_a2_matches_interval_by_interval_oracle(kind):
             assert abs(a2_characteristic(w) - ref) <= 1e-12 * ref, (dim, t, depth)
 
 
-def test_a2_rejects_an_overflowing_level():
+def overflowing_level_weight() -> MatrixWeight:
     # level 1 holds <W> ~ 5e299 I and <W^-1> ~ 5e299 R diag(1, 1/2) R^T: the
     # sandwich overflows, and an A2 that skipped that level would read ~1
     c, s = np.cos(0.3), np.sin(0.3)
     rot = np.array([[c, -s], [s, c]])
     leaves = [1e300 * np.eye(2), 1e-300 * rot @ np.diag([1.0, 2.0]) @ rot.T, np.eye(2), np.eye(2)]
-    w = MatrixWeight(GridMatrixField(2, 2, np.array(leaves)))
+    return MatrixWeight(GridMatrixField(2, 2, np.array(leaves)))
+
+
+def test_a2_rejects_an_overflowing_level():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        a2_characteristic(w)
+        a2_characteristic(overflowing_level_weight())
+
+
+FAMILY_KINDS = ("identity", "scalar_power", "block_scalar", "rotating", "random_log_pd")
+
+
+@st.composite
+def family_weights(draw, max_depth: int = 12):
+    """A family weight with t in the ranges of tests/_instances.py, where every
+    leaf clears eps_pd at depth 12."""
+    kind = draw(st.sampled_from(FAMILY_KINDS))
+    dim = 2 if kind == "rotating" else draw(st.integers(1, 4))
+    t = draw({"identity": st.just(0.0),
+              "scalar_power": st.floats(0.0, 0.9 if dim == 1 else 0.55),
+              "block_scalar": st.floats(0.0, 0.5),
+              "rotating": st.floats(0.0, 2.0),
+              "random_log_pd": st.floats(0.0, 2.5 if dim <= 2 else 2.0)}[kind])
+    return generate_weight(WeightFamilySpec(kind, dim, draw(st.integers(0, max_depth)), parameter=t,
+                                            seed=draw(st.integers(0, 2**31 - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight=family_weights())
+def test_a2_equals_the_every_interval_loop_bit_for_bit(weight):
+    assert a2_characteristic(weight) == a2_every_interval_reference(weight)
+
+
+@st.composite
+def extreme_weights(draw):
+    """Leaves s(x) Q(x) diag(lambda(x)) Q(x)^T with eigenvalue ratios down to
+    eps_pd and scales s(x) anywhere in [1e-150, 1e150]."""
+    dim, depth = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    floor = max(10.0 ** -draw(st.floats(0.0, 10.0)), 1.01 * mweights.EPS_PD)
+    lo_exp, hi_exp = sorted(x + 0.0 for x in draw(st.lists(st.floats(-150.0, 150.0),
+                                                           min_size=2, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 1 << depth
+    lam = np.exp(rng.uniform(np.log(floor), 0.0, size=(n, dim)))
+    lam[:, 0] = floor
+    q, _ = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+    scale = 10.0 ** rng.uniform(lo_exp, hi_exp, size=n)
+    return MatrixWeight(GridMatrixField(depth, dim, np.einsum("nij,nj,nkj->nik", q, lam * scale[:, None], q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight=extreme_weights())
+def test_a2_equals_the_every_interval_loop_on_extreme_weights(weight):
+    assert a2_characteristic(weight) == a2_every_interval_reference(weight)
+
+
+TIED_WEIGHTS = {  # every interval reads A2 = 1, so no bound can drop one
+    "identity": lambda: generate_weight(WeightFamilySpec("identity", 4, 8)),
+    "scalar_power_t0": lambda: generate_weight(WeightFamilySpec("scalar_power", 3, 8)),
+    "random_log_pd_t0": lambda: generate_weight(WeightFamilySpec("random_log_pd", 2, 8, seed=3)),
+    "constant": lambda: MatrixWeight(GridMatrixField(
+        5, 2, np.tile(np.array([[2.0, 1.0], [1.0, 3.0]]), (32, 1, 1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_WEIGHTS))
+def test_a2_equals_the_every_interval_loop_on_ties(name):
+    weight = TIED_WEIGHTS[name]()
+    assert a2_characteristic(weight) == a2_every_interval_reference(weight)
+
+
+def test_a2_near_4e40_equals_the_every_interval_loop():
+    weight = generate_weight(WeightFamilySpec("scalar_power", 1, 8, parameter=0.9))
+    a2 = a2_characteristic(weight)
+    assert a2 == a2_every_interval_reference(weight) and 4e40 < a2 < 5e40
+
+
+def test_a2_with_a_non_finite_trace_bound_equals_the_every_interval_loop():
+    # <w> <1/w> ~ 2.5e199 at the root, so tr((<W> <W^-1>)^2) overflows to inf
+    weight = scalar_weight(2, [1e-100, 1e100, 1.0, 3.0])
+    root = mweights._a2_trace_bounds(weight.level_averages(0), weight.inverse_field.level_averages(0))
+    assert not np.isfinite(root[0])
+    a2 = a2_characteristic(weight)
+    assert a2 == a2_every_interval_reference(weight) and a2 > 1e199
+
+
+def test_a2_and_the_every_interval_loop_raise_the_same_message_on_an_overflowing_level():
+    messages = []
+    for route in (a2_characteristic, a2_every_interval_reference):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as err:
+            route(overflowing_level_weight())
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == (
+        "A2 overflows at level 0: <W>^1/2 <W^-1> <W>^1/2 has non-finite entries")
+
+
+def test_a2_eigensolves_only_a_few_intervals(monkeypatch):
+    rows = []
+    real = mweights.top_eigenvalue_stack
+    monkeypatch.setattr(mweights, "top_eigenvalue_stack", lambda ms: rows.append(len(ms)) or real(ms))
+    w = generate_weight(WeightFamilySpec("random_log_pd", 4, 12, parameter=1.0))
+    assert a2_characteristic(w) == a2_every_interval_reference(w)
+    assert 1 <= sum(rows) < 10, rows
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_sqrt_average_equals_its_row_of_the_level_root_bit_for_bit(kind):
+    # the golden certificates were made from whole-level roots
+    for dim in ((2,) if kind == "rotating" else (1, 2, 3, 4)):
+        w = generate_weight(WeightFamilySpec(kind, dim, 6, parameter=0.5, seed=dim))
+        for level in range(7):
+            roots = psd_power_stack(w.level_averages(level), 0.5)
+            for index in range(1 << level):
+                assert np.array_equal(w.sqrt_average(DyadicInterval(level, index)), roots[index])
 
 
 def test_direction_weight_identity():
