@@ -48,7 +48,7 @@ def main():
                    help="directory for per-instance certificate JSON files")
     p.add_argument("--recheck", action="store_true",
                    help="recheck each certificate by certifying its instance again with "
-                        "the same code (not independent; see ROADMAP item 11)")
+                        "the same code (not independent; see the exact recheck on ROADMAP)")
     args = p.parse_args()
 
     outdir = None

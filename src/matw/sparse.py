@@ -18,14 +18,16 @@ an eigensolve (see _GenerationScan).
 All verifications below recheck, instance by instance, each inequality the
 construction is supposed to guarantee: sparseness of the E-sets, the
 domination itself, the trace argument bounding the norm-triggered mass, and
-the weak-type containment behind the sum-triggered mass.
+the weak-type containment behind the sum-triggered mass. Each verify_*
+returns its certificate section as a plain JSON dict, which `certify`
+inserts as it is.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,8 +57,7 @@ class StoppingConfig:
             raise ValueError("sparseness target must lie in (0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2, "sparseness_target": self.sparseness_target,
-                "max_generations": self.max_generations, "weak_type_budget": self.weak_type_budget}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def default_stopping_config(dim: int, c1: float | None = None, c2: float = 256.0) -> StoppingConfig:
@@ -119,9 +120,13 @@ class SparseFamily:
 class _GenerationScan:
     """Per-level condition data for one generation rooted at `root`.
 
-    For every interval strictly below the root (down to the leaves) this holds
-    the chain sums and the trigger masks of both conditions, plus the stopping
-    mask: triggered and not below an already-triggered ancestor.
+    For every level strictly below the root (down to the leaves) this holds
+    the chain sums and the norm-condition (1) mask, one row per interval of
+    that level inside the root: row j is the interval of index
+    (root.index << (level - root.level)) + j. The stopping children, the
+    intervals that trigger either condition and lie below no triggered
+    ancestor, are collected level by level, then by index, into `children`
+    with their tags.
 
     Condition (1) is cleared without an eigensolve on every row whose trace
     t_L = tr(<W>_R^{-1} <W>_L) has |t_L| <= C1^2/2; only the other rows go to
@@ -145,7 +150,6 @@ class _GenerationScan:
                  f_values: np.ndarray, root: DyadicInterval, cfg: StoppingConfig):
         depth = weight.depth
         self.root = root
-        self.depth = depth
         avg_root = weight.average(root)
         self.inv_sqrt_root = psd_power(avg_root, -0.5, weight.eps_pd)
         inv_root_t = (self.inv_sqrt_root @ self.inv_sqrt_root).T.ravel()
@@ -161,24 +165,19 @@ class _GenerationScan:
             raise ValueError(f"the stopping threshold or chain sum at interval "
                              f"({root.level}, {root.index}) overflows the float range")
 
-        self.offsets: dict[int, int] = {}
         self.chains: dict[int, np.ndarray] = {}
         self.cond1: dict[int, np.ndarray] = {}
-        self.cond2: dict[int, np.ndarray] = {}
-        self.stopping: dict[int, np.ndarray] = {}
-
-        chain_prev = np.array([self.root_chain])
-        blocked_prev = np.array([False])
+        self.children: list[tuple[DyadicInterval, str]] = []
+        chain, blocked = np.array([self.root_chain]), np.array([False])
         for level in range(root.level + 1, depth + 1):
             lo = root.index << (level - root.level)
             hi = (root.index + 1) << (level - root.level)
-            self.offsets[level] = lo
             if level < depth:
                 c = coeffs.levels[level][lo:hi]
                 q = np.einsum("ni,ij,nj->n", c, avg_root, c) * 2.0**level
             else:
                 q = np.zeros(hi - lo)
-            chain = np.repeat(chain_prev, 2) + q
+            chain = np.repeat(chain, 2) + q
             averages = weight.level_averages(level)[lo:hi]
             # each row of <W>_L, flattened, dotted with <W>_R^{-1} transposed: t_L
             cond1 = ~(np.abs(averages.reshape(hi - lo, -1) @ inv_root_t) <= trace_clear)
@@ -187,32 +186,23 @@ class _GenerationScan:
                 cond1[cond1] = np.sqrt(top_eigenvalue_stack(sandwich)) > cfg.c1
             cond2 = chain > self.threshold
             triggered = cond1 | cond2
-            blocked = np.repeat(blocked_prev, 2)
+            blocked = np.repeat(blocked, 2)
+            for j in np.nonzero(triggered & ~blocked)[0]:
+                tag = "both" if cond1[j] and cond2[j] else ("type1" if cond1[j] else "type2")
+                self.children.append((DyadicInterval(level, lo + int(j)), tag))
+            blocked |= triggered
             self.chains[level] = chain
             self.cond1[level] = cond1
-            self.cond2[level] = cond2
-            self.stopping[level] = triggered & ~blocked
-            blocked_prev = blocked | triggered
-            chain_prev = chain
-
-    def stopping_intervals(self) -> list[tuple[DyadicInterval, str]]:
-        out = []
-        for level in sorted(self.stopping):
-            lo = self.offsets[level]
-            for j in np.nonzero(self.stopping[level])[0]:
-                c1_hit = bool(self.cond1[level][j])
-                c2_hit = bool(self.cond2[level][j])
-                tag = "both" if c1_hit and c2_hit else ("type1" if c1_hit else "type2")
-                out.append((DyadicInterval(level, lo + int(j)), tag))
-        return out
 
     def chain_at(self, interval: DyadicInterval) -> float:
         if interval == self.root:
             return self.root_chain
-        return float(self.chains[interval.level][interval.index - self.offsets[interval.level]])
+        row = interval.index - (self.root.index << (interval.level - self.root.level))
+        return float(self.chains[interval.level][row])
 
     def norm_condition_at(self, interval: DyadicInterval) -> bool:
-        return bool(self.cond1[interval.level][interval.index - self.offsets[interval.level]])
+        row = interval.index - (self.root.index << (interval.level - self.root.level))
+        return bool(self.cond1[interval.level][row])
 
 
 def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseFamily:
@@ -229,7 +219,7 @@ def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseF
             if parent.level >= weight.depth:
                 continue
             scan = _GenerationScan(weight, coeffs, f.values, parent, cfg)
-            for interval, tag in scan.stopping_intervals():
+            for interval, tag in scan.children:
                 nodes[interval] = SparseNode(interval, tag, parent)
                 nodes[parent].children.append(interval)
                 nxt.append(interval)
@@ -247,18 +237,7 @@ def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseF
     return SparseFamily(weight.depth, weight.dim, cfg, nodes, generations, scans)
 
 
-@dataclass
-class SparsenessReport:
-    ok: bool
-    min_ratio: float
-    offending: list[DyadicInterval]
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "min_ratio": self.min_ratio,
-                "offending": [[iv.level, iv.index] for iv in self.offending]}
-
-
-def verify_sparseness(family: SparseFamily, target: float | None = None) -> SparsenessReport:
+def verify_sparseness(family: SparseFamily, target: float | None = None) -> dict:
     """Every node must own at least `target` of its measure outside its children."""
     if target is None:
         target = family.config.sparseness_target
@@ -267,22 +246,11 @@ def verify_sparseness(family: SparseFamily, target: float | None = None) -> Spar
         ratio = family.node(interval).e_ratio
         min_ratio = min(min_ratio, ratio)
         if ratio < target:
-            offending.append(interval)
-    return SparsenessReport(not offending, min_ratio, offending)
+            offending.append([interval.level, interval.index])
+    return {"ok": not offending, "min_ratio": min_ratio, "offending": offending}
 
 
-@dataclass
-class DominationReport:
-    ok: bool
-    lhs: float
-    rhs: float
-    slack: float
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
-
-
-def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> DominationReport:
+def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> dict:
     """Full energy against C1^2 C2 times the sparse square function energy."""
     cfg = family.config
     lhs = sw_norm_squared(weight, f).total
@@ -290,7 +258,7 @@ def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> Dominati
     if not math.isfinite(rhs):
         raise ValueError("C1^2 C2 times the sparse square function energy overflows "
                          "the float range")
-    return DominationReport(lhs <= rhs * (1.0 + DOMINATION_SLACK), lhs, rhs, rhs - lhs)
+    return {"ok": lhs <= rhs * (1.0 + DOMINATION_SLACK), "lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
 
 
 def _close(a: float, b: float) -> bool:
@@ -301,16 +269,7 @@ def _leq(a: float, b: float) -> bool:
     return a <= b + REL_TOL * max(1.0, abs(a), abs(b))
 
 
-@dataclass
-class TraceBoundReport:
-    ok: bool
-    per_node: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "per_node": self.per_node}
-
-
-def verify_type1_trace_bound(family: SparseFamily, weight: MatrixWeight) -> TraceBoundReport:
+def verify_type1_trace_bound(family: SparseFamily, weight: MatrixWeight) -> dict:
     """Recheck, step by step, that norm-triggered children carry mass <= d/C1^2.
 
     Chain per parent node R with norm-triggered children {L}:
@@ -362,21 +321,10 @@ def verify_type1_trace_bound(family: SparseFamily, weight: MatrixWeight) -> Trac
             "d_measure": d_measure, "mass_fraction": mass / parent.measure,
             "steps": steps,
         })
-    return TraceBoundReport(all_ok, rows)
+    return {"ok": all_ok, "per_node": rows}
 
 
-@dataclass
-class WeakBoundReport:
-    ok: bool
-    max_weak_quotient: float
-    per_node: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "max_weak_quotient": self.max_weak_quotient,
-                "per_node": self.per_node}
-
-
-def verify_type2_weak_bound(family: SparseFamily) -> WeakBoundReport:
+def verify_type2_weak_bound(family: SparseFamily) -> dict:
     """Sum-triggered children sit inside the super-level set of the localized
     square function of g = <W>_R^{1/2} f; their mass gives a lower estimate of
     the weak (1,1) norm of the square function, reported per node."""
@@ -389,7 +337,7 @@ def verify_type2_weak_bound(family: SparseFamily) -> WeakBoundReport:
         if not kids:
             continue
         scan, depth = family.scans[parent], family.depth
-        lo, leaf_chain = scan.offsets[depth], scan.chains[depth]
+        lo, leaf_chain = parent.leaf_slice(depth).start, scan.chains[depth]
         contained = all(bool(np.all(leaf_chain[sl.start - lo:sl.stop - lo] > scan.threshold))
                         for sl in (k.leaf_slice(depth) for k in kids))
         mass = sum(k.measure for k in kids)
@@ -404,19 +352,10 @@ def verify_type2_weak_bound(family: SparseFamily) -> WeakBoundReport:
             "mass_fraction": fraction, "weak_quotient": quotient,
             "threshold": scan.threshold,
         })
-    return WeakBoundReport(all_ok, max_quotient, rows)
+    return {"ok": all_ok, "max_weak_quotient": max_quotient, "per_node": rows}
 
 
-@dataclass
-class MaximalityReport:
-    ok: bool
-    violations: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "violations": self.violations}
-
-
-def verify_maximality(family: SparseFamily) -> MaximalityReport:
+def verify_maximality(family: SparseFamily) -> dict:
     """Every strict ancestor of a stopping child, within its generation,
     satisfies both conditions with <=."""
     violations = []
@@ -430,7 +369,7 @@ def verify_maximality(family: SparseFamily) -> MaximalityReport:
                 violations += [{"ancestor": [ancestor.level, ancestor.index],
                                 "child": [child.level, child.index], "condition": condition}
                                for condition, hit in held.items() if hit]
-    return MaximalityReport(not violations, violations)
+    return {"ok": not violations, "violations": violations}
 
 
 _REPORTS = ("sparseness", "domination", "type1_trace", "type2_weak", "maximality")
@@ -439,24 +378,22 @@ _REPORTS = ("sparseness", "domination", "type1_trace", "type2_weak", "maximality
 def certify(weight: MatrixWeight, f, cfg: StoppingConfig) -> dict:
     """Build the family and recheck every inequality; self-contained report."""
     family = build_sparse_family(weight, f, cfg)
-    reports = (verify_sparseness(family), verify_domination(weight, f, family),
-               verify_type1_trace_bound(family, weight), verify_type2_weak_bound(family),
-               verify_maximality(family))
+    sections = dict(zip(_REPORTS, (
+        verify_sparseness(family), verify_domination(weight, f, family),
+        verify_type1_trace_bound(family, weight), verify_type2_weak_bound(family),
+        verify_maximality(family))))
     return {
         "schema": "matw.certificate/1",
-        "ok": all(report.ok for report in reports),
+        "ok": all(section["ok"] for section in sections.values()),
         "config": cfg.to_json_dict(),
         "instance": {"depth": weight.depth, "dim": weight.dim},
         "family": family.to_json_dict(),
-        **{name: report.to_json_dict() for name, report in zip(_REPORTS, reports)},
+        **sections,
     }
 
 
 def _config_from_json(obj: dict) -> StoppingConfig:
-    return StoppingConfig(c1=obj["c1"], c2=obj["c2"],
-                          sparseness_target=obj["sparseness_target"],
-                          max_generations=obj["max_generations"],
-                          weak_type_budget=obj["weak_type_budget"])
+    return StoppingConfig(**{f.name: obj[f.name] for f in fields(StoppingConfig)})
 
 
 def _same(a, b) -> bool:
@@ -471,7 +408,8 @@ def recheck_certificate(cert: dict, weight: MatrixWeight, f) -> dict:
     every node with its trigger, parent, children and e_ratio, and every
     generation. Each rebuilt report must pass and equal the certificate's own.
     This rejects a tampered or inconsistent certificate, but not a fault that
-    `certify` itself has; an exact, independent recheck is ROADMAP item 11.
+    `certify` itself has; that needs the exact, independent recheck that
+    ROADMAP lists as open.
     """
     cfg = _config_from_json(cert["config"])
     if cert["instance"]["depth"] != weight.depth or cert["instance"]["dim"] != weight.dim:

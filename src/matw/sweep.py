@@ -102,8 +102,8 @@ def run_record(cfg: ExperimentConfig, t: float, seed: int) -> SweepRecord:
         family = build_sparse_family(weight, est.witness, cfg.stopping_config())
         dom = verify_domination(weight, est.witness, family)
         # witness is P-normalized, so rhs is already the per-unit-energy bound
-        rec.domination_rhs_at_witness = dom.rhs / witness_energy
-        rec.domination_ok = dom.ok
+        rec.domination_rhs_at_witness = dom["rhs"] / witness_energy
+        rec.domination_ok = dom["ok"]
         norm = math.sqrt(rec.sw_normsq_est)
         rec.ratio_mixed_bound = norm / math.sqrt(rec.a2 * rec.ainf_winv_sampled)
         rec.ratio_a2_bound = norm / rec.a2

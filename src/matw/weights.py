@@ -164,12 +164,23 @@ def _a2_trace_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ab = a @ b
         t = np.einsum("nii->n", ab)
         t2 = np.einsum("nij,nji->n", ab, ab)
-        k = d * np.einsum("nii->n", a) * np.einsum("nii->n", b) / t
-        delta = 32.0 * d**4 * float(np.finfo(float).eps) * k * k
-        m = t / d
-        s2 = np.maximum(t2 / d - m * m, 0.0) + delta * t2 / d
-        bound = (m + np.sqrt((d - 1) * s2)) * (1.0 + delta)
-    return np.where(delta <= 1.0 / 16.0, bound, np.inf)
+        del ab
+        k = d * np.einsum("nii->n", a)
+        k *= np.einsum("nii->n", b)
+        k /= t
+        delta = np.multiply(k, 32.0 * d**4 * float(np.finfo(float).eps) * k, out=k)
+        m = np.divide(t, d, out=t)
+        s2 = t2 / d
+        s2 -= m * m
+        np.maximum(s2, 0.0, out=s2)
+        t2 *= delta
+        s2 += np.divide(t2, d, out=t2)
+        s2 *= d - 1
+        np.sqrt(s2, out=s2)
+        s2 += m
+        s2 *= 1.0 + delta
+    s2[~(delta <= 1.0 / 16.0)] = np.inf
+    return s2
 
 
 def _a2_sandwich_tops(weight: MatrixWeight, level: int, rows: np.ndarray) -> np.ndarray:

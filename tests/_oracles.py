@@ -237,7 +237,7 @@ def stopping_children(root: DyadicInterval, weight, f, cfg) -> list[tuple[Dyadic
     if root.level >= weight.depth:
         return []
     scan = _GenerationScan(weight, analyze(f), f.values, root, cfg)
-    return scan.stopping_intervals()
+    return scan.children
 
 
 def norm_condition_mask(weight, root: DyadicInterval, level: int, c1: float) -> np.ndarray:

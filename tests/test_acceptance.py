@@ -130,7 +130,7 @@ def test_04_hand_computable_fixtures():
 def test_05_sparse_domination_thousand_instances():
     entries, build_seconds = sparse_suite()
     failures = [i for i, (_, _, _, _, dom) in enumerate(entries)
-                if not dom.ok or dom.lhs > dom.rhs * (1.0 + 1e-9)]
+                if not dom["ok"] or dom["lhs"] > dom["rhs"] * (1.0 + 1e-9)]
     report("sparse_domination_1000",
            not failures and build_seconds < 120.0,
            f"failures={failures[:5]} build+verify={build_seconds:.1f}s (budget 120s)")
@@ -143,8 +143,8 @@ def test_06_sparseness_and_type1_mass():
     bad = []
     for index, (weight, _f, cfg, family, _dom) in enumerate(entries):
         sp = verify_sparseness(family, 0.5)
-        min_ratio = min(min_ratio, sp.min_ratio)
-        if not sp.ok:
+        min_ratio = min(min_ratio, sp["min_ratio"])
+        if not sp["ok"]:
             bad.append(index)
         budget = weight.dim / (cfg.c1 * cfg.c1)
         for interval in family.intervals():
@@ -166,7 +166,7 @@ def test_07_maximality_of_stopping_intervals():
     violations = 0
     for weight, f, _cfg, family, _dom in entries:
         rep = verify_maximality(family)
-        violations += len(rep.violations)
+        violations += len(rep["violations"])
     report("maximality_of_stopping_intervals", violations == 0,
            f"violations={violations} across 1000 built families")
 

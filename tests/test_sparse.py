@@ -87,7 +87,7 @@ def test_depth_zero_grid():
     family = build_sparse_family(w, f, default_stopping_config(2))
     assert family.intervals() == [ROOT]
     assert sw_norm_squared(w, f).total == 0.0
-    assert verify_domination(w, f, family).ok
+    assert verify_domination(w, f, family)["ok"]
 
 
 def test_type2_trigger_on_concentrated_function():
@@ -101,8 +101,8 @@ def test_type2_trigger_on_concentrated_function():
     family = build_sparse_family(w, f, cfg)
     tags = {family.node(iv).trigger for iv in family.intervals()} - {"root"}
     assert "type2" in tags
-    assert verify_type2_weak_bound(family).ok
-    assert verify_domination(w, f, family).ok
+    assert verify_type2_weak_bound(family)["ok"]
+    assert verify_domination(w, f, family)["ok"]
 
 
 def test_family_nodes_form_tree_under_containment():
@@ -146,9 +146,9 @@ def test_both_trigger_tag():
     family = build_sparse_family(w, f, StoppingConfig(c1=1.2, c2=1.5))
     node = family.node(DyadicInterval(1, 1))
     assert node.trigger == "both"
-    assert verify_type1_trace_bound(family, w).ok
-    assert verify_type2_weak_bound(family).ok
-    assert verify_domination(w, f, family).ok
+    assert verify_type1_trace_bound(family, w)["ok"]
+    assert verify_type2_weak_bound(family)["ok"]
+    assert verify_domination(w, f, family)["ok"]
 
 
 def test_generation_guard_fires_when_budget_too_small():
@@ -189,10 +189,10 @@ def test_verify_sparseness_reports_offenders():
                           {n.interval: n for n in (root_node, kid1, kid2)},
                           [[ROOT], [kid1.interval, kid2.interval]])
     report = verify_sparseness(family, 0.5)
-    assert not report.ok
-    assert report.min_ratio == 0.25
-    assert report.offending == [ROOT]
-    assert verify_sparseness(family, 0.25).ok
+    assert not report["ok"]
+    assert report["min_ratio"] == 0.25
+    assert report["offending"] == [[0, 0]]
+    assert verify_sparseness(family, 0.25)["ok"]
 
 
 def test_domination_identity_haar_function():
@@ -200,10 +200,10 @@ def test_domination_identity_haar_function():
     f = haar_root_function(3, 1)
     family = build_sparse_family(w, f, default_stopping_config(1))
     report = verify_domination(w, f, family)
-    assert report.ok
-    assert abs(report.lhs - 1.0) <= 1e-12
+    assert report["ok"]
+    assert abs(report["lhs"] - 1.0) <= 1e-12
     # rhs = C1^2 C2 <|h_J|>^2 |J| = 4 * 256
-    assert abs(report.rhs - 1024.0) <= 1e-9
+    assert abs(report["rhs"] - 1024.0) <= 1e-9
 
 
 def test_domination_zero_function():
@@ -211,7 +211,7 @@ def test_domination_zero_function():
     f = GridVector(3, 2, np.zeros((8, 2)))
     family = build_sparse_family(w, f, default_stopping_config(2))
     report = verify_domination(w, f, family)
-    assert report.ok and report.lhs == 0.0 and report.rhs == 0.0
+    assert report["ok"] and report["lhs"] == 0.0 and report["rhs"] == 0.0
 
 
 def test_domination_refuses_an_overflowing_right_side():
@@ -232,15 +232,15 @@ def test_randomized_suite_all_verifications():
         cfg = default_stopping_config(weight.dim)
         family = build_sparse_family(weight, f, cfg)
         dom = verify_domination(weight, f, family)
-        assert dom.ok, f"instance {index}: domination failed"
+        assert dom["ok"], f"instance {index}: domination failed"
         sp = verify_sparseness(family)
-        assert sp.ok, f"instance {index}: sparseness {sp.min_ratio}"
-        worst_ratio = min(worst_ratio, sp.min_ratio)
-        assert verify_type1_trace_bound(family, weight).ok, f"instance {index}"
+        assert sp["ok"], f"instance {index}: sparseness {sp['min_ratio']}"
+        worst_ratio = min(worst_ratio, sp["min_ratio"])
+        assert verify_type1_trace_bound(family, weight)["ok"], f"instance {index}"
         t2 = verify_type2_weak_bound(family)
-        assert t2.ok, f"instance {index}"
-        assert t2.max_weak_quotient <= cfg.weak_type_budget
-        assert verify_maximality(family).ok, f"instance {index}"
+        assert t2["ok"], f"instance {index}"
+        assert t2["max_weak_quotient"] <= cfg.weak_type_budget
+        assert verify_maximality(family)["ok"], f"instance {index}"
     assert worst_ratio >= 0.5
 
 
@@ -250,8 +250,8 @@ def test_trace_bound_steps_reported():
     f = GridVector(2, 1, np.zeros((4, 1)))
     family = build_sparse_family(w, f, StoppingConfig(c1=1.2))
     report = verify_type1_trace_bound(family, w)
-    assert report.ok
-    (row,) = report.per_node
+    assert report["ok"]
+    (row,) = report["per_node"]
     assert row["type1_mass"] == 0.5
     # 1/2 <= d |J| / C1^2 = 1/1.44 holds because C1^2 <= 2
     assert row["steps"]["mass_within_budget"]
@@ -263,14 +263,14 @@ def test_weak_bound_vacuous_without_type2_children():
     f = haar_root_function(3, 1)
     family = build_sparse_family(w, f, default_stopping_config(1))
     report = verify_type2_weak_bound(family)
-    assert report.ok and report.per_node == [] and report.max_weak_quotient == 0.0
+    assert report["ok"] and report["per_node"] == [] and report["max_weak_quotient"] == 0.0
 
 
 def test_maximality_on_deep_instances():
     for index in (5, 9, 31, 44):
         weight, f = random_instance(index)
         family = build_sparse_family(weight, f, default_stopping_config(weight.dim))
-        assert verify_maximality(family).ok
+        assert verify_maximality(family)["ok"]
 
 
 def test_certificate_contents_and_self_consistency():
@@ -488,6 +488,47 @@ def test_recheck_problems_are_exact(tamper, problems):
     assert recheck_certificate(cert, weight, f) == {"ok": False, "problems": problems}
 
 
+def _json_leaves(obj):
+    if isinstance(obj, dict):
+        assert all(type(key) is str for key in obj)
+        for value in obj.values():
+            yield from _json_leaves(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _json_leaves(value)
+    else:
+        yield obj
+
+
+def _two_generation_instance():
+    eps = 1e-3
+    weight = scalar_weight(2, [eps, eps, 1.0, 1.0])
+    f = GridVector(2, 1, np.array([[0.0], [0.0], [50.0], [0.0]]))
+    return weight, f, StoppingConfig(c1=1.2, c2=1.5)
+
+
+def test_certificate_sections_are_the_verifiers_plain_json():
+    instances = [_two_generation_instance()]
+    for index in range(50):
+        weight, f = random_instance(index)
+        instances.append((weight, f, default_stopping_config(weight.dim)))
+    for weight, f, cfg in instances:
+        family = build_sparse_family(weight, f, cfg)
+        sections = {
+            "sparseness": verify_sparseness(family),
+            "domination": verify_domination(weight, f, family),
+            "type1_trace": verify_type1_trace_bound(family, weight),
+            "type2_weak": verify_type2_weak_bound(family),
+            "maximality": verify_maximality(family),
+        }
+        cert = certify(weight, f, cfg)
+        for name, section in sections.items():
+            assert cert[name] == section, name
+            assert {type(leaf) for leaf in _json_leaves(section)} <= {bool, int, float, str,
+                                                                      type(None)}, name
+    assert len(build_sparse_family(*instances[0]).generations) == 2
+
+
 def _deep_instance():
     weight, f = random_instance(9)
     return weight, f, StoppingConfig(c1=1.3, c2=4.0)
@@ -682,7 +723,7 @@ def _check_type1_trace_sums(weight, f) -> int:
     average: both routes invert it, so neither is closer than that. Returns the
     number of parents checked."""
     family = build_sparse_family(weight, f, default_stopping_config(weight.dim))
-    rows = verify_type1_trace_bound(family, weight).per_node
+    rows = verify_type1_trace_bound(family, weight)["per_node"]
     for row in rows:
         parent = DyadicInterval(*row["interval"])
         kids = [c for c in family.node(parent).children
