@@ -191,7 +191,7 @@ def test_a2_peak_memory():
 
     That loop peaked at 13.5 MB at scalar_power (N, d) = (18, 1), t = 0.3
     (tracemalloc, numpy 2.4); the bound pass with a fresh array per step
-    raised it to 20.3 MB. The in-place pass peaks at about 12.6 MB.
+    raised it to 21.2 MB. The in-place pass peaks at about 12.6 MB.
     """
     import tracemalloc
     weight = generate_weight(WeightFamilySpec("scalar_power", 1, 18, parameter=0.3))
