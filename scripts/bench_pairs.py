@@ -86,6 +86,22 @@ def compare(parent_runs: list[float], change_runs: list[float], bound: float,
     }
 
 
+def parse_claim(claim: str, contract: dict) -> dict:
+    """The workload and metric of a `workload:metric` claim; ValueError unless the
+    workload and the end-to-end metric are both named in the benchmark contract."""
+    workload, colon, metric = claim.partition(":")
+    if not colon:
+        raise ValueError(f"claim {claim!r} is not of the form workload:metric")
+    workloads = [w["name"] for w in contract["workloads"]]
+    if workload not in workloads:
+        raise ValueError(f"unknown workload {workload!r}, expected one of {', '.join(workloads)}")
+    metrics = [m["name"] for m in contract["end_to_end"]]
+    if metric not in metrics:
+        raise ValueError(f"unknown end-to-end metric {metric!r}, expected one of "
+                         f"{', '.join(metrics)}")
+    return {"workload": workload, "metric": metric}
+
+
 def export(rev: str, dest: pathlib.Path) -> str:
     """Write the committed files of `rev` into `dest`; return the full commit id."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
@@ -177,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: pathlib.Path(tmp) / side for side in SIDES}
         shas = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
         contract = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        try:
+            claimed = parse_claim(args.claim, contract) if args.claim else None
+        except ValueError as exc:
+            parser.exit(2, f"bench_pairs: {exc}\n")
         seconds = contract["run_seconds"]
         workloads = [w["name"] for w in contract["workloads"]]
         end_to_end_names = [m["name"] for m in contract["end_to_end"]]
@@ -212,10 +232,6 @@ def main(argv: list[str] | None = None) -> int:
                           [m[name] for m in runs[workload]["change"]],
                           metric["bound"], metric["better"])
             end_to_end.append({"workload": workload, "metric": name, **row})
-    claimed = None
-    if args.claim:
-        workload, metric = args.claim.split(":", 1)
-        claimed = {"workload": workload, "metric": metric}
     command = f"python3 bench/run.py --workload <w> --seed <i> --seconds {seconds:g}"
     report = {
         "title": args.title,

@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 
-from matw.sweep import ExperimentConfig, run_sweep
+from matw.sweep import ExperimentConfig, emit_csv, run_sweep
 
 
 def parse_args():
@@ -36,9 +36,9 @@ def main():
     cfg = ExperimentConfig(
         family_kind=args.family, dim=args.dim, depth=args.depth,
         grid=tuple(args.grid), seeds=tuple(args.seeds),
-        n_directions=max(2 * args.dim, 8), power_rel_tol=args.rel_tol,
-        out_path=args.out)
+        n_directions=max(2 * args.dim, 8), power_rel_tol=args.rel_tol)
     records, meta = run_sweep(cfg)
+    emit_csv(records, args.out, meta)
 
     print(f"{'t':>5} {'a2':>12} {'ainf(w^-1)':>11} {'normsq_est':>12} "
           f"{'ratio_mixed':>11} {'iters':>5}")

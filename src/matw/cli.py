@@ -10,6 +10,7 @@ line, "matw <command>: <reason>", on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,9 +19,9 @@ from .dyadic import GridVector, load_field, save_field
 from .opnorm import PowerIterationOptions, estimate_operator_norm
 from .haar import sw_norm_squared
 from .sparse import certify, default_stopping_config
-from .sweep import ExperimentConfig, run_sweep
-from .weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
-                      ainfty_characteristic, generate_weight, load_weight, save_weight)
+from .sweep import ExperimentConfig, emit_csv, run_sweep
+from .weights import (FAMILY_KINDS, WeightFamilySpec, a2_characteristic, ainfty_characteristic,
+                      generate_weight, load_weight, save_weight)
 
 
 def _env_seed() -> int | None:
@@ -62,8 +63,8 @@ def cmd_a2(args) -> int:
 
 
 def cmd_ainfty(args) -> int:
-    weight = load_weight(args.weight)
-    value = ainfty_characteristic(weight, args.directions, seed=_resolve_seed(args.seed))
+    field = load_weight(args.weight).field  # loading runs the weight's checks
+    value = ainfty_characteristic(field, args.directions, seed=_resolve_seed(args.seed))
     _print({"ainfty_sampled": value, "n_directions": args.directions,
             "note": "lower bound of the direction supremum; exact for dim 1"})
     return 0
@@ -72,7 +73,7 @@ def cmd_ainfty(args) -> int:
 def cmd_swnorm(args) -> int:
     weight = load_weight(args.weight)
     f = _load_vector(args.f)
-    _print({"sw_norm_squared": sw_norm_squared(weight, f).total})
+    _print({"sw_norm_squared": sw_norm_squared(weight, f)})
     return 0
 
 
@@ -116,16 +117,16 @@ def cmd_sparse(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if args.out:
-        obj["out_path"] = args.out
     cfg = ExperimentConfig.from_json_dict(obj)
     env = _env_seed()
     if env is not None:
-        cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), "seeds": [env]})
+        cfg = dataclasses.replace(cfg, seeds=(env,))
     records, meta = run_sweep(cfg)
+    out = args.out or obj.get("out_path")
+    if out:
+        emit_csv(records, out, meta)
     failures = [r for r in records if r.error or not r.domination_ok]
-    _print({"records": len(records), "failures": len(failures),
-            "out": cfg.out_path, **meta})
+    _print({"records": len(records), "failures": len(failures), "out": out, **meta})
     return 0 if not failures else 1
 
 
@@ -136,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("genweight", help="generate a family weight into a JSON file")
-    p.add_argument("--kind", required=True,
-                   choices=["identity", "scalar_power", "block_scalar", "rotating", "random_log_pd"])
+    p.add_argument("--kind", required=True, choices=FAMILY_KINDS)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--param", type=float, default=0.0)

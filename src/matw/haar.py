@@ -12,7 +12,6 @@ over all sign patterns and Monte Carlo, are test oracles in tests/_oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,18 +57,7 @@ def synthesize(coeffs: HaarCoefficients, include_mean: bool = True) -> GridVecto
     return GridVector(coeffs.depth, coeffs.dim, current)
 
 
-@dataclass
-class SwNormResult:
-    """Total weighted square function energy plus its per-interval terms."""
-
-    total: float
-    terms_by_level: list[np.ndarray]
-
-    def term(self, interval: DyadicInterval) -> float:
-        return float(self.terms_by_level[interval.level][interval.index])
-
-
-def sw_norm_squared(weight: MatrixWeight, f: GridVector) -> SwNormResult:
+def sw_norm_squared(weight: MatrixWeight, f: GridVector) -> float:
     """||S_W f||^2 = sum_I <<W>_I (f,h_I), (f,h_I)>, exact finite sum."""
     if weight.depth != f.depth or weight.dim != f.dim:
         raise ValueError("weight and function dimensions do not match")
@@ -81,12 +69,11 @@ def sw_norm_squared(weight: MatrixWeight, f: GridVector) -> SwNormResult:
     total = float(sum(np.sum(t) for t in terms))
     if not math.isfinite(total):
         raise ValueError("||S_W f||^2 overflows the float range")
-    return SwNormResult(total, terms)
+    return total
 
 
-def s3w_norm_squared(weight: MatrixWeight, g: GridVector, family) -> float:
-    """Sparse square function energy sum_L <|| <W>_L^{1/2} g ||>_L^2 |L|."""
-    intervals = family.intervals() if hasattr(family, "intervals") else family
+def s3w_norm_squared(weight: MatrixWeight, g: GridVector, intervals) -> float:
+    """Sparse square function energy sum_L <|| <W>_L^{1/2} g ||>_L^2 |L| over `intervals`."""
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for interval in intervals:

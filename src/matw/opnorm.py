@@ -116,7 +116,7 @@ def weighted_l2_sq(weight: MatrixWeight, f: GridVector) -> float:
 
 
 def rayleigh_quotient(weight: MatrixWeight, f: GridVector) -> float:
-    return sw_norm_squared(weight, f).total / weighted_l2_sq(weight, f)
+    return sw_norm_squared(weight, f) / weighted_l2_sq(weight, f)
 
 
 def start_vector(weight: MatrixWeight, seed: int) -> GridVector:

@@ -237,10 +237,9 @@ def build_sparse_family(weight: MatrixWeight, f, cfg: StoppingConfig) -> SparseF
     return SparseFamily(weight.depth, weight.dim, cfg, nodes, generations, scans)
 
 
-def verify_sparseness(family: SparseFamily, target: float | None = None) -> dict:
-    """Every node must own at least `target` of its measure outside its children."""
-    if target is None:
-        target = family.config.sparseness_target
+def verify_sparseness(family: SparseFamily) -> dict:
+    """Every node must own at least config.sparseness_target of its measure outside its children."""
+    target = family.config.sparseness_target
     min_ratio, offending = 1.0, []
     for interval in family.intervals():
         ratio = family.node(interval).e_ratio
@@ -253,8 +252,8 @@ def verify_sparseness(family: SparseFamily, target: float | None = None) -> dict
 def verify_domination(weight: MatrixWeight, f, family: SparseFamily) -> dict:
     """Full energy against C1^2 C2 times the sparse square function energy."""
     cfg = family.config
-    lhs = sw_norm_squared(weight, f).total
-    rhs = cfg.c1 * cfg.c1 * cfg.c2 * s3w_norm_squared(weight, f, family)
+    lhs = sw_norm_squared(weight, f)
+    rhs = cfg.c1 * cfg.c1 * cfg.c2 * s3w_norm_squared(weight, f, family.intervals())
     if not math.isfinite(rhs):
         raise ValueError("C1^2 C2 times the sparse square function energy overflows "
                          "the float range")

@@ -10,6 +10,9 @@ The sampled A-infinity column is a lower bound of the true characteristic
 (exact for d = 1), so the mixed-bound ratio column can exceed what the exact
 characteristic would give; the a2-bound ratio column is the fallback path
 through [W^-1]_{A2} = [W]_{A2}.
+
+run_sweep returns the records and footer metadata; emit_csv writes them. The
+config names no output path, so the footer's config_sha256 hashes all of it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class ExperimentConfig:
     power_rel_tol: float = 1e-9
     stopping_c1: float | None = None  # default 2 sqrt(dim)
     stopping_c2: float = 256.0
-    out_path: str | None = None
 
     def __post_init__(self):
         if not self.grid:
@@ -90,13 +92,14 @@ def run_record(cfg: ExperimentConfig, t: float, seed: int) -> SweepRecord:
         spec = WeightFamilySpec(cfg.family_kind, cfg.dim, cfg.depth, parameter=t, seed=seed)
         weight = generate_weight(spec)
         rec.a2 = a2_characteristic(weight)
-        rec.ainf_winv_sampled = ainfty_characteristic(weight.inverse(), cfg.n_directions, seed=seed)
+        rec.ainf_winv_sampled = ainfty_characteristic(weight.inverse_field, cfg.n_directions,
+                                                      seed=seed)
         opts = PowerIterationOptions(max_iters=cfg.power_max_iters,
                                      rel_tol=cfg.power_rel_tol, seed=seed)
         est = estimate_operator_norm(weight, opts)
         rec.sw_normsq_est = est.value
         witness_energy = weighted_l2_sq(weight, est.witness)
-        rec.sw_normsq_lower = sw_norm_squared(weight, est.witness).total / witness_energy
+        rec.sw_normsq_lower = sw_norm_squared(weight, est.witness) / witness_energy
         rec.power_iters = est.iters
         rec.power_converged = est.converged
         family = build_sparse_family(weight, est.witness, cfg.stopping_config())
@@ -136,8 +139,7 @@ def sweep_metadata(cfg: ExperimentConfig, records: list[SweepRecord]) -> dict:
     # [W^-1]_{A_inf} is dominated by a multiple of [W^-1]_{A2} = [W]_{A2};
     # a ratio past 10 d marks the record for manual inspection
     flagged = sum(1 for v in ainf_over_a2 if v > 10.0 * cfg.dim)
-    hashed = {k: v for k, v in cfg.to_json_dict().items() if k != "out_path"}
-    cfg_hash = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
+    cfg_hash = hashlib.sha256(json.dumps(cfg.to_json_dict(), sort_keys=True).encode()).hexdigest()
     stopping = cfg.stopping_config()
     return {
         "loglog_slope_normsq_vs_a2": "undefined" if slope_sq is None else repr(slope_sq),
@@ -157,10 +159,7 @@ def sweep_metadata(cfg: ExperimentConfig, records: list[SweepRecord]) -> dict:
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[SweepRecord], dict]:
     records = [run_record(cfg, t, seed)
                for t in sorted(cfg.grid) for seed in sorted(cfg.seeds)]
-    meta = sweep_metadata(cfg, records)
-    if cfg.out_path:
-        emit_csv(records, cfg.out_path, meta)
-    return records, meta
+    return records, sweep_metadata(cfg, records)
 
 
 def csv_bytes(records: list[SweepRecord], metadata: dict | None = None) -> bytes:

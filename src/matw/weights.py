@@ -15,7 +15,8 @@ The A-infinity characteristic of a matrix weight is a supremum over directions
 and is not computable exactly; ainfty_characteristic samples coordinate
 directions, eigenvector directions of coarse-scale averages, and quasi-uniform
 unit vectors, so the reported number is a certified lower bound of the true
-supremum. For scalar weights (d = 1) it is exact.
+supremum. For scalar weights (d = 1) it is exact. It reads a GridMatrixField,
+so [W^-1]_{A_infinity} is taken on a weight's inverse_field.
 """
 
 from __future__ import annotations
@@ -63,28 +64,14 @@ class MatrixWeight:
             val = lo[k] if lo[k] < NORMAL_MIN else hi[k]
             raise ValueError(f"leaf {k} has eigenvalue {val:.3e}, whose inverse leaves the float range")
         inv_vals = np.einsum("nij,nj,nkj->nik", vecs, 1.0 / vals, vecs)
-        self._adopt(field, GridMatrixField(field.depth, field.dim, inv_vals), eps_pd, metadata)
-
-    def _adopt(self, field: GridMatrixField, inverse_field: GridMatrixField,
-               eps_pd: float, metadata: dict | None) -> None:
         self.field = field
-        self.inverse_field = inverse_field
+        self.inverse_field = GridMatrixField(field.depth, field.dim, inv_vals)
         self.eps_pd = eps_pd
         self.metadata = dict(metadata) if metadata else {}
         self._sqrt_cache: dict[DyadicInterval, np.ndarray] = {}
         # averages at every scale are queried constantly; build both trees now
         self.field.average_tree()
         self.inverse_field.average_tree()
-
-    def inverse(self) -> "MatrixWeight":
-        """The weight W^-1, sharing both fields and their average trees.
-
-        No second eigendecomposition: every leaf of W^-1 has the eigenvalue
-        ratio of the same leaf of W, which __init__ checked against eps_pd.
-        """
-        inv = object.__new__(type(self))
-        inv._adopt(self.inverse_field, self.field, self.eps_pd, None)
-        return inv
 
     @property
     def depth(self) -> int:
@@ -222,7 +209,7 @@ def a2_characteristic(weight: MatrixWeight) -> float:
     return best
 
 
-def scalar_direction_weight(weight: MatrixWeight, e: np.ndarray) -> GridScalar:
+def scalar_direction_weight(field: GridMatrixField, e: np.ndarray) -> GridScalar:
     """The scalar weight x -> <W(x) e, e> for a unit direction e."""
     e = np.asarray(e, dtype=float)
     norm = float(np.linalg.norm(e))
@@ -230,8 +217,8 @@ def scalar_direction_weight(weight: MatrixWeight, e: np.ndarray) -> GridScalar:
         raise ValueError("direction must be a nonzero vector")
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector (norm {norm!r})")
-    vals = np.einsum("nij,i,j->n", weight.field.values, e, e)
-    return GridScalar(weight.depth, vals)
+    vals = np.einsum("nij,i,j->n", field.values, e, e)
+    return GridScalar(field.depth, vals)
 
 
 def fujii_wilson_constant(w: GridScalar) -> float:
@@ -292,14 +279,14 @@ def halton_sphere_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def ainfty_directions(weight: MatrixWeight, n_directions: int, seed: int = 0) -> np.ndarray:
+def ainfty_directions(field: GridMatrixField, n_directions: int, seed: int = 0) -> np.ndarray:
     """Direction set: coordinates, coarse-scale average eigenvectors, Halton fill."""
-    d = weight.dim
+    d = field.dim
     if n_directions < 2 * d:
         raise ValueError(f"n_directions must be at least 2*dim = {2 * d}")
     dirs = [np.eye(d)]
-    for level in range(min(weight.depth, 4) + 1):
-        _, vecs = np.linalg.eigh(weight.level_averages(level))
+    for level in range(min(field.depth, 4) + 1):
+        _, vecs = np.linalg.eigh(field.level_averages(level))
         dirs.append(vecs.transpose(0, 2, 1).reshape(-1, d))
     stacked = np.concatenate(dirs, axis=0)
     stacked /= np.linalg.norm(stacked, axis=1, keepdims=True)
@@ -311,8 +298,8 @@ def ainfty_directions(weight: MatrixWeight, n_directions: int, seed: int = 0) ->
     return np.array(kept + list(fill)) if len(fill) else np.array(kept)
 
 
-def ainfty_characteristic(weight: MatrixWeight, n_directions: int, seed: int = 0) -> float:
-    """Sampled matrix A-infinity characteristic sup_e [W_e]_{A_infinity}.
+def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int = 0) -> float:
+    """Sampled matrix A-infinity characteristic sup_e [W_e]_{A_infinity} of the field W.
 
     A lower bound of the true supremum over directions; exact for d = 1.
     W_e = W_{-e} holds bit for bit, so a direction equal to -u for an already
@@ -320,12 +307,12 @@ def ainfty_characteristic(weight: MatrixWeight, n_directions: int, seed: int = 0
     """
     best = 1.0
     seen: set[tuple[float, ...]] = set()
-    for e in ainfty_directions(weight, n_directions, seed):
+    for e in ainfty_directions(field, n_directions, seed):
         key = tuple(e.tolist())
         if key in seen:
             continue
         seen.update((key, tuple((-e).tolist())))
-        best = max(best, fujii_wilson_constant(scalar_direction_weight(weight, e)))
+        best = max(best, fujii_wilson_constant(scalar_direction_weight(field, e)))
     return best
 
 

@@ -67,7 +67,7 @@ def test_01_sign_enumeration_identity():
         weight = generate_weight(WeightFamilySpec(
             "random_log_pd", dim, depth, parameter=1.2, seed=i))
         f = random_grid_vector(depth, dim, rng)
-        closed = sw_norm_squared(weight, f).total
+        closed = sw_norm_squared(weight, f)
         enumerated = sw_sign_enumeration(weight, f)
         worst = max(worst, abs(enumerated - closed) / max(closed, 1e-300))
     elapsed = time.perf_counter() - start
@@ -84,7 +84,7 @@ def test_02_scalar_reduction():
         wvals = np.exp(rng.uniform(-2.5, 2.5, 1 << depth))
         weight = matrix_weight_from_scalar(GridScalar(depth, wvals))
         f = random_grid_vector(depth, 1, rng)
-        closed = sw_norm_squared(weight, f).total
+        closed = sw_norm_squared(weight, f)
         integrated = float(np.mean(unweighted_square_function_sq(f).values * wvals))
         worst = max(worst, abs(closed - integrated) / max(closed, 1e-300))
     report("scalar_reduction", worst <= 1e-10,
@@ -111,7 +111,7 @@ def test_04_hand_computable_fixtures():
     w = matrix_weight_from_scalar(GridScalar(1, [1.0, 9.0]))
     a2 = a2_characteristic(w)
     fw = fujii_wilson_constant(GridScalar(1, [1.0, 9.0]))
-    energy = sw_norm_squared(w, GridVector(1, 1, [[1.0], [-1.0]])).total
+    energy = sw_norm_squared(w, GridVector(1, 1, [[1.0], [-1.0]]))
     est = estimate_operator_norm(w, PowerIterationOptions(rel_tol=1e-12))
     direction = est.witness.values.ravel()
     target = np.array([-9.0, 1.0]) / np.linalg.norm([-9.0, 1.0])
@@ -142,7 +142,7 @@ def test_06_sparseness_and_type1_mass():
     worst_type1 = 0.0
     bad = []
     for index, (weight, _f, cfg, family, _dom) in enumerate(entries):
-        sp = verify_sparseness(family, 0.5)
+        sp = verify_sparseness(family)
         min_ratio = min(min_ratio, sp["min_ratio"])
         if not sp["ok"]:
             bad.append(index)

@@ -129,3 +129,14 @@ def test_only_the_fixed_options_are_offered():
                                  capture_output=True, text=True, check=True).stdout
     options = sorted(set(re.findall(r"--[a-z]+", parser_help)))
     assert options == ["--change", "--claim", "--help", "--out", "--parent", "--title"]
+
+
+def test_a_claim_names_a_workload_and_an_end_to_end_metric_of_the_contract():
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_pairs.parse_claim("certify-pool:wall_s", contract) == \
+        {"workload": "certify-pool", "metric": "wall_s"}
+    for claim, message in [("certify-pool", "not of the form workload:metric"),
+                           ("certify-poll:wall_s", "unknown workload 'certify-poll'"),
+                           ("certify-pool:wall", "unknown end-to-end metric 'wall'")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bench_pairs.parse_claim(claim, contract)

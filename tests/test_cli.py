@@ -95,6 +95,41 @@ def test_sweep_command_and_determinism(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def write_sweep_config(path, **overrides):
+    cfg = {"family_kind": "scalar_power", "dim": 1, "depth": 5,
+           "grid": [0.2, 0.6], "seeds": [0], "n_directions": 2, **overrides}
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_sweep_config_out_path_is_the_default_for_out(tmp_path, capsys):
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg_path = write_sweep_config(tmp_path / "cfg.json", out_path=str(out_a))
+    assert main(["sweep", "--config", cfg_path]) == 0
+    assert out_json(capsys)["out"] == str(out_a)
+    assert main(["sweep", "--config", cfg_path, "--out", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_sweep_out_flag_wins_over_config_out_path(tmp_path, capsys):
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg_path = write_sweep_config(tmp_path / "cfg.json", out_path=str(out_a))
+    assert main(["sweep", "--config", cfg_path, "--out", str(out_b)]) == 0
+    assert out_json(capsys)["out"] == str(out_b)
+    assert out_b.exists() and not out_a.exists()
+
+
+def test_env_seed_overrides_every_sweep_seed(tmp_path, monkeypatch, capsys):
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.setenv("MATW_SEED", "7")
+    cfg_path = write_sweep_config(tmp_path / "a.json", seeds=[0, 1])
+    assert main(["sweep", "--config", cfg_path, "--out", str(out_a)]) == 0
+    monkeypatch.delenv("MATW_SEED")
+    cfg_path = write_sweep_config(tmp_path / "b.json", seeds=[7])
+    assert main(["sweep", "--config", cfg_path, "--out", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
 def test_env_seed_overrides(tmp_path, monkeypatch, capsys):
     pa, pb, pc = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     main(["genweight", "--kind", "random_log_pd", "--dim", "2", "--depth", "3",

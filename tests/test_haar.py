@@ -137,15 +137,13 @@ def test_sw_identity_weight_is_parseval():
     f = random_grid_vector(5, 2, rng)
     w = generate_weight(WeightFamilySpec("identity", 2, 5))
     mean_free = direct_l2_sq(f.values - f.values.mean(axis=0), 5)
-    assert abs(sw_norm_squared(w, f).total - mean_free) <= 1e-10 * max(1.0, mean_free)
+    assert abs(sw_norm_squared(w, f) - mean_free) <= 1e-10 * max(1.0, mean_free)
 
 
 def test_sw_two_cell_hand_value():
     w = scalar_weight(1, [1.0, 9.0])
     f = GridVector(1, 1, [[1.0], [-1.0]])
-    result = sw_norm_squared(w, f)
-    assert abs(result.total - 5.0) <= 1e-12
-    assert abs(result.term(ROOT) - 5.0) <= 1e-12
+    assert abs(sw_norm_squared(w, f) - 5.0) <= 1e-12
 
 
 def test_sw_scalar_reduction_two_code_paths():
@@ -155,7 +153,7 @@ def test_sw_scalar_reduction_two_code_paths():
         wvals = np.exp(rng.uniform(-2, 2, 1 << depth))
         w = scalar_weight(depth, wvals)
         f = random_grid_vector(depth, 1, rng)
-        closed = sw_norm_squared(w, f).total
+        closed = sw_norm_squared(w, f)
         via_square_function = float(
             np.mean(unweighted_square_function_sq(f).values * wvals))
         assert abs(closed - via_square_function) <= 1e-10 * max(1.0, closed)
@@ -166,7 +164,7 @@ def test_sw_mean_independence():
     w = generate_weight(WeightFamilySpec("random_log_pd", 2, 4, parameter=1.0, seed=1))
     f = random_grid_vector(4, 2, rng)
     shifted = GridVector(4, 2, f.values + np.array([3.0, -7.0]))
-    assert abs(sw_norm_squared(w, f).total - sw_norm_squared(w, shifted).total) <= 1e-10
+    assert abs(sw_norm_squared(w, f) - sw_norm_squared(w, shifted)) <= 1e-10
 
 
 def test_sw_monotone_in_weight():
@@ -175,7 +173,7 @@ def test_sw_monotone_in_weight():
     small = generate_weight(WeightFamilySpec("random_log_pd", 2, 4, parameter=0.8, seed=2))
     bigger_vals = small.field.values + np.tile(0.5 * np.eye(2), (16, 1, 1))
     bigger = MatrixWeight(GridMatrixField(4, 2, bigger_vals))
-    assert sw_norm_squared(bigger, f).total >= sw_norm_squared(small, f).total - 1e-12
+    assert sw_norm_squared(bigger, f) >= sw_norm_squared(small, f) - 1e-12
 
 
 def test_sw_dimension_mismatch():
@@ -198,7 +196,7 @@ def test_sign_enumeration_matches_closed_form():
         w = generate_weight(WeightFamilySpec("random_log_pd", dim, depth,
                                              parameter=1.2, seed=seed))
         f = random_grid_vector(depth, dim, rng)
-        closed = sw_norm_squared(w, f).total
+        closed = sw_norm_squared(w, f)
         assert abs(sw_sign_enumeration(w, f) - closed) <= 1e-10 * max(1.0, closed)
 
 
@@ -222,7 +220,7 @@ def test_monte_carlo_consistency():
     w = generate_weight(WeightFamilySpec("random_log_pd", 2, 8, parameter=1.0, seed=4))
     f = random_grid_vector(8, 2, rng)
     mean, stderr = sw_monte_carlo(w, f, 10_000, seed=9)
-    closed = sw_norm_squared(w, f).total
+    closed = sw_norm_squared(w, f)
     assert abs(mean - closed) <= 5.0 * max(stderr, 1e-12 * closed)
 
 

@@ -86,7 +86,7 @@ def test_depth_zero_grid():
     assert stopping_children(ROOT, w, f, default_stopping_config(2)) == []
     family = build_sparse_family(w, f, default_stopping_config(2))
     assert family.intervals() == [ROOT]
-    assert sw_norm_squared(w, f).total == 0.0
+    assert sw_norm_squared(w, f) == 0.0
     assert verify_domination(w, f, family)["ok"]
 
 
@@ -188,11 +188,12 @@ def test_verify_sparseness_reports_offenders():
     family = SparseFamily(3, 1, default_stopping_config(1),
                           {n.interval: n for n in (root_node, kid1, kid2)},
                           [[ROOT], [kid1.interval, kid2.interval]])
-    report = verify_sparseness(family, 0.5)
+    report = verify_sparseness(family)  # the default target, 0.5
     assert not report["ok"]
     assert report["min_ratio"] == 0.25
     assert report["offending"] == [[0, 0]]
-    assert verify_sparseness(family, 0.25)["ok"]
+    relaxed = dataclasses.replace(family.config, sparseness_target=0.25)
+    assert verify_sparseness(dataclasses.replace(family, config=relaxed))["ok"]
 
 
 def test_domination_identity_haar_function():
@@ -220,7 +221,7 @@ def test_domination_refuses_an_overflowing_right_side():
     w = generate_weight(WeightFamilySpec("identity", 1, 1))
     f = GridVector(1, 1, [[6e152], [-6e152]])
     family = build_sparse_family(w, f, default_stopping_config(1))
-    assert sw_norm_squared(w, f).total == pytest.approx(3.6e305)
+    assert sw_norm_squared(w, f) == pytest.approx(3.6e305)
     with pytest.raises(ValueError, match="C1\\^2 C2 times the sparse square function energy"):
         verify_domination(w, f, family)
 
@@ -281,7 +282,7 @@ def test_certificate_contents_and_self_consistency():
     assert cert["schema"] == "matw.certificate/1"
     assert cert["config"]["c1"] == cfg.c1
     assert cert["instance"] == {"depth": weight.depth, "dim": weight.dim}
-    lhs = sw_norm_squared(weight, f).total
+    lhs = sw_norm_squared(weight, f)
     assert abs(cert["domination"]["lhs"] - lhs) <= 1e-12 * max(1.0, lhs)
     node_intervals = {tuple(n["interval"]) for n in cert["family"]["nodes"]}
     assert (0, 0) in node_intervals

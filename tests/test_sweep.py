@@ -157,11 +157,12 @@ def test_golden_csv_regression():
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
-    cfg = small_config(grid=(0.3, 0.6), seeds=(4,),
-                       out_path=str(tmp_path / "a.csv"))
-    run_sweep(cfg)
+    cfg = small_config(grid=(0.3, 0.6), seeds=(4,))
+    records, meta = run_sweep(cfg)
+    emit_csv(records, str(tmp_path / "a.csv"), meta)
     first = (tmp_path / "a.csv").read_bytes()
-    run_sweep(cfg)
+    records, meta = run_sweep(cfg)
+    emit_csv(records, str(tmp_path / "a.csv"), meta)
     assert (tmp_path / "a.csv").read_bytes() == first
 
 
@@ -173,7 +174,7 @@ def test_loglog_slope_degenerate_cases():
 
 
 def test_config_json_roundtrip():
-    cfg = small_config(out_path="x.csv")
+    cfg = small_config(stopping_c1=3.0)
     rebuilt = ExperimentConfig.from_json_dict(cfg.to_json_dict())
     assert rebuilt == cfg
 
