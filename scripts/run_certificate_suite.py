@@ -18,14 +18,12 @@ import numpy as np
 
 from matw.dyadic import GridVector
 from matw.sparse import certify, default_stopping_config, recheck_certificate
-from matw.weights import WeightFamilySpec, generate_weight
-
-FAMILIES = ["identity", "scalar_power", "block_scalar", "rotating", "random_log_pd"]
+from matw.weights import FAMILY_KINDS, WeightFamilySpec, generate_weight
 
 
 def make_instance(index, max_depth, master_seed):
     rng = np.random.default_rng(master_seed + 7919 * index)
-    kind = FAMILIES[index % len(FAMILIES)]
+    kind = FAMILY_KINDS[index % len(FAMILY_KINDS)]
     depth = int(rng.integers(1, max_depth + 1))
     dim = 2 if kind == "rotating" else int(rng.integers(1, 5))
     t_ranges = {"identity": 0.0, "scalar_power": 0.85 if dim == 1 else 0.55,

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .dyadic import (DyadicInterval, GridMatrixField, GridScalar, GridVector, ROOT,
                      load_field, save_field)
-from .haar import HaarCoefficients, analyze, s3w_norm_squared, sw_norm_squared, synthesize
+from .haar import analyze, s3w_norm_squared, sw_norm_squared, synthesize
 from .linalg import operator_norm, psd_power
 from .opnorm import OperatorNormEstimate, PowerIterationOptions, estimate_operator_norm
 from .sparse import (SparseFamily, StoppingConfig, build_sparse_family, certify,
@@ -22,13 +22,12 @@ from .sparse import (SparseFamily, StoppingConfig, build_sparse_family, certify,
 from .sweep import ExperimentConfig, SweepRecord, emit_csv, run_sweep
 from .weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                       ainfty_characteristic, fujii_wilson_constant, generate_weight,
-                      load_weight, matrix_weight_from_scalar, save_weight,
-                      scalar_direction_weight)
+                      load_weight, matrix_weight_from_scalar, scalar_direction_weight)
 
 __all__ = [
     "DyadicInterval", "GridMatrixField", "GridScalar", "GridVector", "ROOT",
     "load_field", "save_field",
-    "HaarCoefficients", "analyze", "s3w_norm_squared", "sw_norm_squared", "synthesize",
+    "analyze", "s3w_norm_squared", "sw_norm_squared", "synthesize",
     "operator_norm", "psd_power",
     "OperatorNormEstimate", "PowerIterationOptions", "estimate_operator_norm",
     "SparseFamily", "StoppingConfig", "build_sparse_family", "certify",
@@ -38,6 +37,5 @@ __all__ = [
     "ExperimentConfig", "SweepRecord", "emit_csv", "run_sweep",
     "MatrixWeight", "WeightFamilySpec", "a2_characteristic",
     "ainfty_characteristic", "fujii_wilson_constant", "generate_weight",
-    "load_weight", "matrix_weight_from_scalar", "save_weight",
-    "scalar_direction_weight",
+    "load_weight", "matrix_weight_from_scalar", "scalar_direction_weight",
 ]

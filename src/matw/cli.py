@@ -15,23 +15,19 @@ import json
 import os
 import sys
 
-from .dyadic import GridVector, load_field, save_field
+from .dyadic import GridVector, load_field, read_json_object, save_field
 from .opnorm import PowerIterationOptions, estimate_operator_norm
 from .haar import sw_norm_squared
 from .sparse import certify, default_stopping_config
 from .sweep import ExperimentConfig, emit_csv, run_sweep
 from .weights import (FAMILY_KINDS, WeightFamilySpec, a2_characteristic, ainfty_characteristic,
-                      generate_weight, load_weight, save_weight)
+                      generate_weight, load_weight)
 
 
-def _env_seed() -> int | None:
+def _seed(default: int | None) -> int | None:
+    """MATW_SEED when it is set, else `default`."""
     raw = os.environ.get("MATW_SEED")
-    return int(raw) if raw else None
-
-
-def _resolve_seed(seed: int) -> int:
-    env = _env_seed()
-    return seed if env is None else env
+    return int(raw) if raw else default
 
 
 def _load_vector(path: str) -> GridVector:
@@ -48,9 +44,9 @@ def _print(obj: dict) -> None:
 
 def cmd_genweight(args) -> int:
     spec = WeightFamilySpec(args.kind, args.dim, args.depth,
-                            parameter=args.param, seed=_resolve_seed(args.seed))
+                            parameter=args.param, seed=_seed(args.seed))
     weight = generate_weight(spec)
-    save_weight(weight, args.out)
+    save_field(weight, args.out)
     _print({"written": args.out, "kind": spec.kind, "dim": spec.dim,
             "depth": spec.depth, "parameter": spec.parameter, "seed": spec.seed})
     return 0
@@ -64,7 +60,7 @@ def cmd_a2(args) -> int:
 
 def cmd_ainfty(args) -> int:
     field = load_weight(args.weight).field  # loading runs the weight's checks
-    value = ainfty_characteristic(field, args.directions, seed=_resolve_seed(args.seed))
+    value = ainfty_characteristic(field, args.directions, seed=_seed(args.seed))
     _print({"ainfty_sampled": value, "n_directions": args.directions,
             "note": "lower bound of the direction supremum; exact for dim 1"})
     return 0
@@ -80,7 +76,7 @@ def cmd_swnorm(args) -> int:
 def cmd_opnorm(args) -> int:
     weight = load_weight(args.weight)
     opts = PowerIterationOptions(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                                 seed=_resolve_seed(args.seed))
+                                 seed=_seed(args.seed))
     est = estimate_operator_norm(weight, opts)
     if args.witness_out:
         save_field(est.witness, args.witness_out)
@@ -115,14 +111,14 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json_object(args.config)
+    config_out = obj.pop("out_path", None)  # the default for --out, not part of the config
     cfg = ExperimentConfig.from_json_dict(obj)
-    env = _env_seed()
+    env = _seed(None)
     if env is not None:
         cfg = dataclasses.replace(cfg, seeds=(env,))
     records, meta = run_sweep(cfg)
-    out = args.out or obj.get("out_path")
+    out = args.out or config_out
     if out:
         emit_csv(records, out, meta)
     failures = [r for r in records if r.error or not r.domination_ok]

@@ -189,12 +189,18 @@ _FIELD_SCHEMAS = {
 }
 
 
-def read_grid_json(path: str) -> dict:
-    """The JSON object of a grid file; ValueError unless it is one with a values list."""
+def read_json_object(path: str) -> dict:
+    """The JSON object in a file; ValueError unless the file holds one."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def read_grid_json(path: str) -> dict:
+    """The JSON object of a grid file; ValueError unless it is one with a values list."""
+    obj = read_json_object(path)
     if not isinstance(obj.get("values"), list):
         raise ValueError("'values' must be a list of leaf values")
     return obj

@@ -2,7 +2,8 @@
 
 Haar functions are L2-normalized: h_I = |I|^{-1/2} (chi_left - chi_right),
 positive on the left half. For grid data at depth N the Haar system consists
-of the 2^N - 1 intervals at levels 0..N-1 plus the global mean.
+of the 2^N - 1 intervals at levels 0..N-1 plus the global mean, f.average(ROOT),
+which analyze leaves out and synthesize takes as an argument.
 
 The weighted square function energy is the closed per-interval sum
 sum_I <<W>_I c_I, c_I>. Its martingale-transform routes, exact enumeration
@@ -15,56 +16,41 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicInterval, GridVector
+from .dyadic import GridVector
 from .weights import MatrixWeight
 
 
-class HaarCoefficients:
-    """Haar coefficients of a grid vector: per-level arrays plus the mean."""
-
-    def __init__(self, depth: int, dim: int, mean: np.ndarray, levels: list[np.ndarray]):
-        self.depth = depth
-        self.dim = dim
-        self.mean = mean
-        self.levels = levels  # levels[k] has shape (2^k, dim), k = 0..depth-1
-
-    def __getitem__(self, interval: DyadicInterval) -> np.ndarray:
-        if interval.level >= self.depth:
-            raise KeyError(f"no Haar coefficient at leaf level for {interval}")
-        return self.levels[interval.level][interval.index]
-
-
-def analyze(f: GridVector) -> HaarCoefficients:
-    """Haar coefficients (f, h_I) for all intervals, plus the global mean."""
+def analyze(f: GridVector) -> list[np.ndarray]:
+    """Haar coefficients (f, h_I) per level: levels[k] has shape (2^k, d), k = 0..N-1."""
     tree = f.average_tree()
     levels = []
     for k in range(f.depth):
         below = tree[k + 1]
         scale = 0.5 * 2.0 ** (-k / 2.0)
         levels.append((below[0::2] - below[1::2]) * scale)
-    return HaarCoefficients(f.depth, f.dim, tree[0][0].copy(), levels)
+    return levels
 
 
-def synthesize(coeffs: HaarCoefficients, include_mean: bool = True) -> GridVector:
-    """Rebuild the grid vector mean + sum_I c_I h_I (or drop the mean)."""
-    current = coeffs.mean[None, :].copy() if include_mean else np.zeros((1, coeffs.dim))
-    for k in range(coeffs.depth):
+def synthesize(levels: list[np.ndarray], mean: np.ndarray) -> GridVector:
+    """Rebuild the grid vector mean + sum_I c_I h_I from per-level coefficients."""
+    depth, dim = len(levels), len(mean)
+    current = mean[None, :].copy()
+    for k in range(depth):
         amp = 2.0 ** (k / 2.0)
-        nxt = np.empty((2 << k, coeffs.dim))
-        nxt[0::2] = current + coeffs.levels[k] * amp
-        nxt[1::2] = current - coeffs.levels[k] * amp
+        nxt = np.empty((2 << k, dim))
+        nxt[0::2] = current + levels[k] * amp
+        nxt[1::2] = current - levels[k] * amp
         current = nxt
-    return GridVector(coeffs.depth, coeffs.dim, current)
+    return GridVector(depth, dim, current)
 
 
 def sw_norm_squared(weight: MatrixWeight, f: GridVector) -> float:
     """||S_W f||^2 = sum_I <<W>_I (f,h_I), (f,h_I)>, exact finite sum."""
     if weight.depth != f.depth or weight.dim != f.dim:
         raise ValueError("weight and function dimensions do not match")
-    coeffs = analyze(f)
     terms = []
-    for k, c in enumerate(coeffs.levels):
-        avg = weight.level_averages(k)
+    for k, c in enumerate(analyze(f)):
+        avg = weight.field.level_averages(k)
         terms.append(np.einsum("ni,nij,nj->n", c, avg, c))
     total = float(sum(np.sum(t) for t in terms))
     if not math.isfinite(total):

@@ -18,8 +18,8 @@ and 2i+2, level k is the range [2^k - 1, 2^(k+1) - 1), and the leaves are
 buf[:, 2i+1] - buf[:, 2i+2] times 0.5 |I|^{1/2}, and synthesis writes the
 image back down the same buffer. <W>_I is read as one (d, d, 2^k) copy per
 tree level and W^-1 as one (d, d, 2^N) copy; both are views when d = 1.
-haar.analyze and haar.synthesize keep the per-level (2^k, d) layout that the
-rest of the package reads.
+haar.analyze keeps the per-level (2^k, d) layout that the rest of the
+package reads.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ class _HaarHeap:
     """
 
     def __init__(self, weight: MatrixWeight, leaf_values: np.ndarray):
-        n = weight.n_leaves
+        n = weight.field.n_leaves
         self.depth = weight.depth
         self.buf = np.empty((weight.dim, 2 * n - 1))
         self.leaves = self.buf[:, n - 1:]
         self.leaves[...] = leaf_values.T
         self.wc = np.empty((weight.dim, n - 1))
-        self.avg = [np.ascontiguousarray(weight.level_averages(k).transpose(1, 2, 0))
+        self.avg = [np.ascontiguousarray(weight.field.level_averages(k).transpose(1, 2, 0))
                     for k in range(weight.depth)]
 
     def analyze(self) -> float:
@@ -122,7 +122,7 @@ def rayleigh_quotient(weight: MatrixWeight, f: GridVector) -> float:
 def start_vector(weight: MatrixWeight, seed: int) -> GridVector:
     """Deterministic mean-zero start; constants are the kernel of Q."""
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((weight.n_leaves, weight.dim))
+    vals = rng.standard_normal((weight.field.n_leaves, weight.dim))
     vals -= vals.mean(axis=0)
     return GridVector(weight.depth, weight.dim, vals)
 

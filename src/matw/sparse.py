@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dyadic import ROOT, DyadicInterval
-from .haar import HaarCoefficients, analyze, s3w_norm_squared, sw_norm_squared
+from .haar import analyze, s3w_norm_squared, sw_norm_squared
 from .linalg import operator_norm, psd_power, top_eigenvalue_stack
 from .weights import MatrixWeight
 
@@ -105,9 +105,6 @@ class SparseFamily:
     def intervals(self) -> list[DyadicInterval]:
         return sorted(self.nodes)
 
-    def node(self, interval: DyadicInterval) -> SparseNode:
-        return self.nodes[interval]
-
     def to_json_dict(self) -> dict:
         return {
             "depth": self.depth,
@@ -146,17 +143,17 @@ class _GenerationScan:
     2d/C1^2 of its rows reaches the eigensolve: half at the default C1 = 2 sqrt(d).
     """
 
-    def __init__(self, weight: MatrixWeight, coeffs: HaarCoefficients,
+    def __init__(self, weight: MatrixWeight, coeffs: list[np.ndarray],
                  f_values: np.ndarray, root: DyadicInterval, cfg: StoppingConfig):
         depth = weight.depth
         self.root = root
-        avg_root = weight.average(root)
+        avg_root = weight.field.average(root)
         self.inv_sqrt_root = psd_power(avg_root, -0.5, weight.eps_pd)
         inv_root_t = (self.inv_sqrt_root @ self.inv_sqrt_root).T.ravel()
         trace_clear = 0.5 * cfg.c1 * cfg.c1
         sqrt_root = weight.sqrt_average(root)
         block = f_values[root.leaf_slice(depth)]
-        c_root = coeffs.levels[root.level][root.index]
+        c_root = coeffs[root.level][root.index]
         with np.errstate(over="ignore", invalid="ignore"):
             mean_norm = float(np.mean(np.linalg.norm(block @ sqrt_root, axis=1)))
             self.threshold = cfg.c2 * mean_norm * mean_norm
@@ -173,12 +170,12 @@ class _GenerationScan:
             lo = root.index << (level - root.level)
             hi = (root.index + 1) << (level - root.level)
             if level < depth:
-                c = coeffs.levels[level][lo:hi]
+                c = coeffs[level][lo:hi]
                 q = np.einsum("ni,ij,nj->n", c, avg_root, c) * 2.0**level
             else:
                 q = np.zeros(hi - lo)
             chain = np.repeat(chain, 2) + q
-            averages = weight.level_averages(level)[lo:hi]
+            averages = weight.field.level_averages(level)[lo:hi]
             # each row of <W>_L, flattened, dotted with <W>_R^{-1} transposed: t_L
             cond1 = ~(np.abs(averages.reshape(hi - lo, -1) @ inv_root_t) <= trace_clear)
             if cond1.any():
@@ -242,7 +239,7 @@ def verify_sparseness(family: SparseFamily) -> dict:
     target = family.config.sparseness_target
     min_ratio, offending = 1.0, []
     for interval in family.intervals():
-        ratio = family.node(interval).e_ratio
+        ratio = family.nodes[interval].e_ratio
         min_ratio = min(min_ratio, ratio)
         if ratio < target:
             offending.append([interval.level, interval.index])
@@ -282,8 +279,8 @@ def verify_type1_trace_bound(family: SparseFamily, weight: MatrixWeight) -> dict
     c1, depth = family.config.c1, weight.depth
     rows, all_ok = [], True
     for parent in family.intervals():
-        kids = [c for c in family.node(parent).children
-                if family.node(c).trigger in ("type1", "both")]
+        kids = [c for c in family.nodes[parent].children
+                if family.nodes[c].trigger in ("type1", "both")]
         if not kids:
             continue
         inv_sqrt = family.scans[parent].inv_sqrt_root
@@ -293,7 +290,7 @@ def verify_type1_trace_bound(family: SparseFamily, weight: MatrixWeight) -> dict
             prod = weight.sqrt_average(k) @ inv_sqrt
             opnorm_sum += k.measure * operator_norm(prod) ** 2
             hs_sum += k.measure * float(np.sum(prod * prod))
-            trace_sum += k.measure * float(np.trace(inv_sqrt @ weight.average(k) @ inv_sqrt))
+            trace_sum += k.measure * float(np.trace(inv_sqrt @ weight.field.average(k) @ inv_sqrt))
         leaves = parent.leaf_slice(depth)
         lo = leaves.start
         leaf_traces = np.einsum("ij,njk,ki->n", inv_sqrt, weight.field.values[leaves], inv_sqrt)
@@ -331,8 +328,8 @@ def verify_type2_weak_bound(family: SparseFamily) -> dict:
     rows, all_ok = [], True
     max_quotient = 0.0
     for parent in family.intervals():
-        kids = [c for c in family.node(parent).children
-                if family.node(c).trigger in ("type2", "both")]
+        kids = [c for c in family.nodes[parent].children
+                if family.nodes[c].trigger in ("type2", "both")]
         if not kids:
             continue
         scan, depth = family.scans[parent], family.depth
@@ -359,7 +356,7 @@ def verify_maximality(family: SparseFamily) -> dict:
     satisfies both conditions with <=."""
     violations = []
     for parent in family.intervals():
-        for child in family.node(parent).children:
+        for child in family.nodes[parent].children:
             scan, ancestor = family.scans[parent], child
             while ancestor.level > parent.level + 1:
                 ancestor = ancestor.parent()

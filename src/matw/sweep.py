@@ -22,7 +22,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,24 +48,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.grid:
             raise ValueError("parameter grid must be nonempty")
-        if not 0.0 < self.power_rel_tol <= 1e-3:
-            raise ValueError("power_rel_tol must lie in (0, 1e-3]")
+        self.stopping_config()  # bad settings fail here, before any record runs
+        self.power_options(0)
 
     def stopping_config(self) -> StoppingConfig:
         return default_stopping_config(self.dim, self.stopping_c1, self.stopping_c2)
 
-    def to_json_dict(self) -> dict:
-        obj = asdict(self)
-        obj["grid"] = list(self.grid)
-        obj["seeds"] = list(self.seeds)
-        return obj
+    def power_options(self, seed: int) -> PowerIterationOptions:
+        return PowerIterationOptions(self.power_max_iters, self.power_rel_tol, seed)
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(ExperimentConfig)}
-        kwargs = {k: v for k, v in obj.items() if k in known}
-        kwargs["grid"] = tuple(kwargs.get("grid", ()))
-        kwargs["seeds"] = tuple(kwargs.get("seeds", (0,)))
+        """KeyError for a missing required key; ValueError for an unknown key or a non-list grid/seeds."""
+        unknown = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
+        for f in fields(ExperimentConfig):
+            if f.default is MISSING and f.name not in obj:
+                raise KeyError(f.name)
+        kwargs = dict(obj)
+        for name in ("grid", "seeds"):
+            if name in kwargs:
+                if not isinstance(kwargs[name], list):
+                    raise ValueError(f"'{name}' must be a list, got {type(kwargs[name]).__name__}")
+                kwargs[name] = tuple(kwargs[name])
         return ExperimentConfig(**kwargs)
 
 
@@ -94,9 +100,7 @@ def run_record(cfg: ExperimentConfig, t: float, seed: int) -> SweepRecord:
         rec.a2 = a2_characteristic(weight)
         rec.ainf_winv_sampled = ainfty_characteristic(weight.inverse_field, cfg.n_directions,
                                                       seed=seed)
-        opts = PowerIterationOptions(max_iters=cfg.power_max_iters,
-                                     rel_tol=cfg.power_rel_tol, seed=seed)
-        est = estimate_operator_norm(weight, opts)
+        est = estimate_operator_norm(weight, cfg.power_options(seed))
         rec.sw_normsq_est = est.value
         witness_energy = weighted_l2_sq(weight, est.witness)
         rec.sw_normsq_lower = sw_norm_squared(weight, est.witness) / witness_energy
@@ -139,7 +143,7 @@ def sweep_metadata(cfg: ExperimentConfig, records: list[SweepRecord]) -> dict:
     # [W^-1]_{A_inf} is dominated by a multiple of [W^-1]_{A2} = [W]_{A2};
     # a ratio past 10 d marks the record for manual inspection
     flagged = sum(1 for v in ainf_over_a2 if v > 10.0 * cfg.dim)
-    cfg_hash = hashlib.sha256(json.dumps(cfg.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    cfg_hash = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
     stopping = cfg.stopping_config()
     return {
         "loglog_slope_normsq_vs_a2": "undefined" if slope_sq is None else repr(slope_sq),

@@ -21,7 +21,6 @@ so [W^-1]_{A_infinity} is taken on a weight's inverse_field.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -81,21 +80,11 @@ class MatrixWeight:
     def dim(self) -> int:
         return self.field.dim
 
-    @property
-    def n_leaves(self) -> int:
-        return self.field.n_leaves
-
-    def average(self, interval: DyadicInterval) -> np.ndarray:
-        return self.field.average(interval)
-
-    def level_averages(self, level: int) -> np.ndarray:
-        return self.field.level_averages(level)
-
     def sqrt_average(self, interval: DyadicInterval) -> np.ndarray:
         """<W>_I^{1/2}, cached by interval; psd_power_stack on a stack of one
         reads the same bits as on the interval's whole level."""
         if interval not in self._sqrt_cache:
-            row = self.level_averages(interval.level)[interval.index:interval.index + 1]
+            row = self.field.level_averages(interval.level)[interval.index:interval.index + 1]
             self._sqrt_cache[interval] = psd_power_stack(row, 0.5)[0]
         return self._sqrt_cache[interval]
 
@@ -104,12 +93,6 @@ class MatrixWeight:
         obj["schema"] = "matw.weight/1"
         obj["metadata"] = {"eps_pd": self.eps_pd, **self.metadata}
         return obj
-
-
-def save_weight(weight: MatrixWeight, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(weight.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_weight(path: str) -> MatrixWeight:
@@ -172,7 +155,7 @@ def _a2_trace_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _a2_sandwich_tops(weight: MatrixWeight, level: int, rows: np.ndarray) -> np.ndarray:
     """Top eigenvalues of <W>_I^{1/2} <W^-1>_I <W>_I^{1/2} for the given rows of one level."""
-    sqrt_w = psd_power_stack(weight.level_averages(level)[rows], 0.5)
+    sqrt_w = psd_power_stack(weight.field.level_averages(level)[rows], 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         sandwich = sqrt_w @ weight.inverse_field.level_averages(level)[rows] @ sqrt_w
     if not np.all(np.isfinite(sandwich)):
@@ -194,7 +177,7 @@ def a2_characteristic(weight: MatrixWeight) -> float:
     raises, as a full pass would.
     """
     inverse = weight.inverse_field
-    bounds = [_a2_trace_bounds(weight.level_averages(level), inverse.level_averages(level))
+    bounds = [_a2_trace_bounds(weight.field.level_averages(level), inverse.level_averages(level))
               for level in range(weight.depth + 1)]
     level = int(np.argmax([np.max(bound) for bound in bounds]))  # a NaN is taken first
     try:

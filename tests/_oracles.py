@@ -15,7 +15,7 @@ which eigensolves every interval with the library's own `psd_power_stack` and
 import numpy as np
 
 from matw.dyadic import DyadicInterval, GridScalar, GridVector
-from matw.haar import HaarCoefficients, analyze, synthesize
+from matw.haar import analyze, synthesize
 from matw.linalg import psd_power, psd_power_stack, top_eigenvalue_stack
 from matw.opnorm import OperatorNormEstimate, rayleigh_quotient, start_vector
 from matw.sparse import _GenerationScan
@@ -89,7 +89,7 @@ def a2_every_interval_reference(weight) -> float:
     the same bits, and raise the same message on an overflowing level."""
     best = 0.0
     for level in range(weight.depth + 1):
-        sqrt_w = psd_power_stack(weight.level_averages(level), 0.5)
+        sqrt_w = psd_power_stack(weight.field.level_averages(level), 0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             sandwich = sqrt_w @ weight.inverse_field.level_averages(level) @ sqrt_w
         if not np.all(np.isfinite(sandwich)):
@@ -148,10 +148,9 @@ def power_iteration_reference(weight, opts) -> OperatorNormEstimate:
     Each step analyzes the iterate with `matw.haar.analyze`, multiplies level k
     by <W>_I as an (n, d, d) einsum, and synthesizes with `matw.haar.synthesize`.
     """
-    def multiplier(coeffs: HaarCoefficients) -> HaarCoefficients:
-        weighted = [np.einsum("nij,nj->ni", weight.level_averages(k), c)
-                    for k, c in enumerate(coeffs.levels)]
-        return HaarCoefficients(coeffs.depth, coeffs.dim, np.zeros(coeffs.dim), weighted)
+    def multiplier(coeffs: list[np.ndarray]) -> list[np.ndarray]:
+        return [np.einsum("nij,nj->ni", weight.field.level_averages(k), c)
+                for k, c in enumerate(coeffs)]
 
     f = start_vector(weight, opts.seed)
     weighted = multiplier(analyze(f))
@@ -159,7 +158,7 @@ def power_iteration_reference(weight, opts) -> OperatorNormEstimate:
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        image = synthesize(weighted, include_mean=False).values
+        image = synthesize(weighted, np.zeros(weight.dim)).values
         g_vals = np.einsum("nij,nj->ni", weight.inverse_field.values, image)
         norm = np.sqrt(float(np.sum(image * g_vals)) * 2.0 ** -weight.depth)
         if norm == 0.0:
@@ -167,7 +166,7 @@ def power_iteration_reference(weight, opts) -> OperatorNormEstimate:
         f = GridVector(weight.depth, weight.dim, g_vals / norm)
         coeffs = analyze(f)
         weighted = multiplier(coeffs)
-        lam = float(sum(np.sum(c * wc) for c, wc in zip(coeffs.levels, weighted.levels)))
+        lam = float(sum(np.sum(c * wc) for c, wc in zip(coeffs, weighted)))
         if lam_prev is not None and abs(lam - lam_prev) <= opts.rel_tol * max(lam, 1e-300):
             converged = True
             break
@@ -247,8 +246,8 @@ def norm_condition_mask(weight, root: DyadicInterval, level: int, c1: float) -> 
     <W>_R^{-1/2} are the ones the generation scan uses, so a row can differ
     from the scan's only through the filter."""
     lo, hi = root.index << (level - root.level), (root.index + 1) << (level - root.level)
-    inv_sqrt = psd_power(weight.average(root), -0.5, weight.eps_pd)
-    sandwich = inv_sqrt @ weight.level_averages(level)[lo:hi] @ inv_sqrt
+    inv_sqrt = psd_power(weight.field.average(root), -0.5, weight.eps_pd)
+    sandwich = inv_sqrt @ weight.field.level_averages(level)[lo:hi] @ inv_sqrt
     return np.sqrt(np.linalg.eigvalsh(sandwich)[:, -1]) > c1
 
 
@@ -300,15 +299,14 @@ def martingale_transform(f: GridVector, signs: SignPattern) -> GridVector:
     """T f = sum_I sigma_I (f, h_I) h_I; the mean term is dropped."""
     if signs.depth != f.depth:
         raise ValueError("incomplete sign pattern")
-    coeffs = analyze(f)
-    flipped = [c * s[:, None] for c, s in zip(coeffs.levels, signs.levels)]
-    return synthesize(HaarCoefficients(f.depth, f.dim, coeffs.mean, flipped), include_mean=False)
+    flipped = [c * s[:, None] for c, s in zip(analyze(f), signs.levels)]
+    return synthesize(flipped, np.zeros(f.dim))
 
 
 def unweighted_square_function_sq(g: GridVector) -> GridScalar:
     """Pointwise S^2 g = sum over intervals containing x of ||(g,h_I)||^2 / |I|."""
     out = np.zeros(g.n_leaves)
-    for k, c in enumerate(analyze(g).levels):
+    for k, c in enumerate(analyze(g)):
         out += np.repeat(np.sum(c * c, axis=1) * 2.0**k, 1 << (g.depth - k))
     return GridScalar(g.depth, out)
 
@@ -318,12 +316,12 @@ def unweighted_square_function(g: GridVector) -> GridScalar:
     return GridScalar(g.depth, np.sqrt(unweighted_square_function_sq(g).values))
 
 
-def _haar_leaf_tensor(coeffs: HaarCoefficients) -> np.ndarray:
-    """Per-interval leaf contributions c_I h_I(x), stacked breadth first: (M, n, d)."""
-    depth, dim = coeffs.depth, coeffs.dim
+def _haar_leaf_tensor(f: GridVector) -> np.ndarray:
+    """Per-interval leaf contributions c_I h_I(x) of f, stacked breadth first: (M, n, d)."""
+    depth, dim = f.depth, f.dim
     n = 1 << depth
     rows = []
-    for k, c in enumerate(coeffs.levels):
+    for k, c in enumerate(analyze(f)):
         amp = 2.0 ** (k / 2.0)
         half = 1 << (depth - k - 1)
         for j in range(1 << k):
@@ -354,7 +352,7 @@ def sw_sign_enumeration(weight, f: GridVector, chunk: int = 4096) -> float:
     if m > ENUMERATION_CAP:
         raise ValueError(
             f"{m} Haar intervals exceed the enumeration cap {ENUMERATION_CAP}; use sw_monte_carlo")
-    leaf_tensor = _haar_leaf_tensor(analyze(f))
+    leaf_tensor = _haar_leaf_tensor(f)
     if m == 0:
         return 0.0
     shifts = np.arange(m, dtype=np.uint64)
@@ -375,7 +373,7 @@ def sw_monte_carlo(weight, f: GridVector, n_samples: int,
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     m = (1 << f.depth) - 1
-    leaf_tensor = _haar_leaf_tensor(analyze(f))
+    leaf_tensor = _haar_leaf_tensor(f)
     signs = np.empty((n_samples, m))
     for i in range(n_samples):
         signs[i] = 1.0 - 2.0 * _sign_bits(f.depth, seed, i)

@@ -148,9 +148,9 @@ def test_06_sparseness_and_type1_mass():
             bad.append(index)
         budget = weight.dim / (cfg.c1 * cfg.c1)
         for interval in family.intervals():
-            node = family.node(interval)
+            node = family.nodes[interval]
             mass = sum(c.measure for c in node.children
-                       if family.node(c).trigger in ("type1", "both"))
+                       if family.nodes[c].trigger in ("type1", "both"))
             fraction = mass / interval.measure
             worst_type1 = max(worst_type1, fraction)
             if fraction > budget + 1e-12:

@@ -95,10 +95,12 @@ def test_sweep_command_and_determinism(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+SWEEP_CONFIG = {"family_kind": "scalar_power", "dim": 1, "depth": 5,
+                "grid": [0.2, 0.6], "seeds": [0], "n_directions": 2}
+
+
 def write_sweep_config(path, **overrides):
-    cfg = {"family_kind": "scalar_power", "dim": 1, "depth": 5,
-           "grid": [0.2, 0.6], "seeds": [0], "n_directions": 2, **overrides}
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**SWEEP_CONFIG, **overrides}))
     return str(path)
 
 
@@ -128,6 +130,29 @@ def test_env_seed_overrides_every_sweep_seed(tmp_path, monkeypatch, capsys):
     cfg_path = write_sweep_config(tmp_path / "b.json", seeds=[7])
     assert main(["sweep", "--config", cfg_path, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("config, reason", [
+    ([SWEEP_CONFIG], "expected a JSON object, got list"),
+    ({k: v for k, v in SWEEP_CONFIG.items() if k != "dim"}, "missing key 'dim'"),
+    ({**SWEEP_CONFIG, "grid": 0.2}, "'grid' must be a list, got float"),
+    ({**SWEEP_CONFIG, "n_direction": 4}, "unknown sweep config keys: n_direction"),
+    ({**SWEEP_CONFIG, "stopping_c2": 0.5}, "stopping constants must exceed 1"),
+], ids=["json_list", "no_dim", "grid_not_a_list", "unknown_key", "bad_stopping_c2"])
+def test_bad_sweep_config_exits_2_with_one_line(tmp_path, monkeypatch, capsys, config, reason):
+    def no_record(*args):
+        pytest.fail("a record ran although the config is bad")
+
+    monkeypatch.setattr("matw.sweep.run_record", no_record)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"matw sweep: {reason}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_env_seed_overrides(tmp_path, monkeypatch, capsys):

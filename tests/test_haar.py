@@ -18,23 +18,16 @@ def scalar_weight(depth, values):
 
 def test_analyze_constant_function():
     f = GridVector(3, 2, np.tile([2.0, -1.0], (8, 1)))
-    coeffs = analyze(f)
-    assert np.array_equal(coeffs.mean, [2.0, -1.0])
-    for level in coeffs.levels:
+    assert np.array_equal(f.average(ROOT), [2.0, -1.0])
+    for level in analyze(f):
         assert np.all(level == 0.0)
 
 
 def test_analyze_two_cell_coefficient():
     # (f, h_J) = (1*1 + (-1)*(-1)) / 2 = 1 with h_J = +1 left, -1 right
-    coeffs = analyze(GridVector(1, 1, [[1.0], [-1.0]]))
-    assert coeffs.mean[0] == 0.0
-    assert coeffs[ROOT][0] == 1.0
-
-
-def test_coefficient_access_rejects_leaf_level():
-    coeffs = analyze(random_grid_vector(3, 2, np.random.default_rng(0)))
-    with pytest.raises(KeyError):
-        coeffs[DyadicInterval(3, 0)]
+    f = GridVector(1, 1, [[1.0], [-1.0]])
+    assert f.average(ROOT)[0] == 0.0
+    assert analyze(f)[ROOT.level][ROOT.index][0] == 1.0
 
 
 def test_analyze_matches_haar_inner_products():
@@ -45,11 +38,11 @@ def test_analyze_matches_haar_inner_products():
         for dim in (1, 3):
             f = random_grid_vector(depth, dim, rng)
             coeffs = analyze(f)
-            assert len(coeffs.levels) == depth
+            assert len(coeffs) == depth
             for level in range(depth):
                 for j in range(1 << level):
                     direct = haar_leaf_values(depth, level, j) @ f.values * 2.0**-depth
-                    assert np.max(np.abs(coeffs.levels[level][j] - direct)) <= 1e-12
+                    assert np.max(np.abs(coeffs[level][j] - direct)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,9 +50,8 @@ def test_analyze_matches_haar_inner_products():
        seed=st.integers(0, 2**31))
 def test_parseval_identity(depth, dim, seed):
     f = random_grid_vector(depth, dim, np.random.default_rng(seed))
-    coeffs = analyze(f)
-    total = float(np.sum(coeffs.mean**2)) + float(
-        sum(np.sum(c * c) for c in coeffs.levels))
+    total = float(np.sum(f.average(ROOT)**2)) + float(
+        sum(np.sum(c * c) for c in analyze(f)))
     assert abs(total - direct_l2_sq(f.values, depth)) <= 1e-10 * max(1.0, total)
 
 
@@ -67,7 +59,7 @@ def test_synthesis_reproduces_function():
     rng = np.random.default_rng(21)
     for depth, dim in [(1, 1), (4, 2), (6, 3)]:
         f = random_grid_vector(depth, dim, rng)
-        rebuilt = synthesize(analyze(f))
+        rebuilt = synthesize(analyze(f), f.average(ROOT))
         assert np.max(np.abs(rebuilt.values - f.values)) <= 1e-11
 
 
@@ -124,8 +116,7 @@ def test_square_function_integral_matches_coefficient_mass():
     for _ in range(10):
         depth, dim = int(rng.integers(1, 8)), int(rng.integers(1, 4))
         g = random_grid_vector(depth, dim, rng)
-        coeffs = analyze(g)
-        mass = float(sum(np.sum(c * c) for c in coeffs.levels))
+        mass = float(sum(np.sum(c * c) for c in analyze(g)))
         integral = float(np.mean(unweighted_square_function_sq(g).values))
         assert abs(integral - mass) <= 1e-10 * max(1.0, mass)
         mean_free = direct_l2_sq(g.values - g.values.mean(axis=0), depth)

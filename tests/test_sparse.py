@@ -38,7 +38,7 @@ def test_identity_weight_haar_function_has_no_stopping_children():
     assert stopping_children(ROOT, w, f, default_stopping_config(1)) == []
     family = build_sparse_family(w, f, default_stopping_config(1))
     assert family.intervals() == [ROOT]
-    assert family.node(ROOT).e_ratio == 1.0
+    assert family.nodes[ROOT].e_ratio == 1.0
 
 
 def test_zero_function_admits_only_norm_triggers():
@@ -56,8 +56,8 @@ def test_forced_type1_two_level_instance():
     f = GridVector(2, 1, np.zeros((4, 1)))
     family = build_sparse_family(w, f, StoppingConfig(c1=1.2))
     assert family.intervals() == [ROOT, DyadicInterval(1, 1)]
-    assert family.node(ROOT).e_ratio == 0.5
-    assert family.node(DyadicInterval(1, 1)).trigger == "type1"
+    assert family.nodes[ROOT].e_ratio == 0.5
+    assert family.nodes[DyadicInterval(1, 1)].trigger == "type1"
     # defaults: c1 = 2 so c1^2 = 4 > 2, no trigger
     family_default = build_sparse_family(w, f, default_stopping_config(1))
     assert family_default.intervals() == [ROOT]
@@ -99,7 +99,7 @@ def test_type2_trigger_on_concentrated_function():
     f = GridVector(depth, 1, vals)
     cfg = StoppingConfig(c1=2.0, c2=16.0)
     family = build_sparse_family(w, f, cfg)
-    tags = {family.node(iv).trigger for iv in family.intervals()} - {"root"}
+    tags = {family.nodes[iv].trigger for iv in family.intervals()} - {"root"}
     assert "type2" in tags
     assert verify_type2_weak_bound(family)["ok"]
     assert verify_domination(w, f, family)["ok"]
@@ -109,7 +109,7 @@ def test_family_nodes_form_tree_under_containment():
     weight, f = random_instance(12)
     family = build_sparse_family(weight, f, default_stopping_config(weight.dim))
     for interval in family.intervals():
-        node = family.node(interval)
+        node = family.nodes[interval]
         if node.parent is not None:
             assert node.parent.contains(interval)
             assert interval != node.parent
@@ -121,10 +121,10 @@ def test_e_sets_partition_the_root():
     for index in range(30):
         weight, f = random_instance(index, max_depth=6)
         family = build_sparse_family(weight, f, default_stopping_config(weight.dim))
-        n = weight.n_leaves
+        n = weight.field.n_leaves
         owner = np.full(n, -1)
         for rank, interval in enumerate(family.intervals()):
-            node = family.node(interval)
+            node = family.nodes[interval]
             mask = np.zeros(n, dtype=bool)
             mask[interval.leaf_slice(weight.depth)] = True
             for child in node.children:
@@ -144,7 +144,7 @@ def test_both_trigger_tag():
     w = scalar_weight(2, wvals)
     f = GridVector(2, 1, np.array([[0.0], [0.0], [50.0], [0.0]]))
     family = build_sparse_family(w, f, StoppingConfig(c1=1.2, c2=1.5))
-    node = family.node(DyadicInterval(1, 1))
+    node = family.nodes[DyadicInterval(1, 1)]
     assert node.trigger == "both"
     assert verify_type1_trace_bound(family, w)["ok"]
     assert verify_type2_weak_bound(family)["ok"]
@@ -304,7 +304,7 @@ def _brute_stopping_children(weight, f, root, cfg):
 
     depth = weight.depth
     coeffs = _analyze(f)
-    avg_root = weight.average(root)
+    avg_root = weight.field.average(root)
     inv_sqrt_root = psd_power(avg_root, -0.5)
     sqrt_root = psd_power(avg_root, 0.5)
     block = f.values[root.leaf_slice(depth)]
@@ -313,14 +313,14 @@ def _brute_stopping_children(weight, f, root, cfg):
     def q(interval):
         if interval.level >= depth:
             return 0.0
-        c = coeffs[interval]
+        c = coeffs[interval.level][interval.index]
         return float(c @ avg_root @ c) / interval.measure
 
     found = []
 
     def descend(interval, chain_above):
         chain = chain_above + q(interval)
-        sqrt_here = psd_power(weight.average(interval), 0.5)
+        sqrt_here = psd_power(weight.field.average(interval), 0.5)
         cond1 = operator_norm(sqrt_here @ inv_sqrt_root) > cfg.c1
         cond2 = chain > thr
         if cond1 or cond2:
@@ -364,7 +364,7 @@ def test_scan_chain_values_match_ancestor_sums():
     coeffs = _analyze(f)
     for root in (ROOT, DyadicInterval(1, 0)):
         scan = _GenerationScan(weight, coeffs, f.values, root, cfg)
-        avg_root = weight.average(root)
+        avg_root = weight.field.average(root)
         for level in range(root.level + 1, weight.depth + 1):
             for index in range(root.index << (level - root.level),
                                (root.index + 1) << (level - root.level)):
@@ -373,7 +373,7 @@ def test_scan_chain_values_match_ancestor_sums():
                 walk = interval
                 while True:
                     if walk.level < weight.depth:
-                        c = coeffs[walk]
+                        c = coeffs[walk.level][walk.index]
                         expected += float(c @ avg_root @ c) / walk.measure
                     if walk == root:
                         break
@@ -580,7 +580,7 @@ def test_certify_builds_each_scan_once(instance, monkeypatch):
 def test_verifiers_refuse_a_family_without_its_scans():
     weight, f, cfg = _deep_instance()
     family = build_sparse_family(weight, f, cfg)
-    assert {family.node(iv).trigger for iv in family.intervals()} >= {"type1", "type2"}
+    assert {family.nodes[iv].trigger for iv in family.intervals()} >= {"type1", "type2"}
     bare = dataclasses.replace(family, scans={})
     with pytest.raises(KeyError):
         verify_type2_weak_bound(bare)
@@ -648,7 +648,7 @@ def _check_trace_filter(weight, f, cfg) -> tuple[int, int, int]:
     default_c1 = cfg.c1 == 2.0 * np.sqrt(weight.dim)
     sent: dict[int, int] = {}
     levels: list[int] = []
-    real_top, real_averages = sparse.top_eigenvalue_stack, weight.level_averages
+    real_top, real_averages = sparse.top_eigenvalue_stack, weight.field.level_averages
 
     def counting_top(ms):
         sent[levels[-1]] = sent.get(levels[-1], 0) + len(ms)
@@ -665,7 +665,7 @@ def _check_trace_filter(weight, f, cfg) -> tuple[int, int, int]:
         sent.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sparse, "top_eigenvalue_stack", counting_top)
-            patch.setattr(weight, "level_averages", recording_averages)
+            patch.setattr(weight.field, "level_averages", recording_averages)
             fresh = sparse._GenerationScan(weight, coeffs, f.values, root, cfg)
         for scan in (fresh, family.scans.get(root, fresh)):
             for level, cond1 in scan.cond1.items():
@@ -727,8 +727,8 @@ def _check_type1_trace_sums(weight, f) -> int:
     rows = verify_type1_trace_bound(family, weight)["per_node"]
     for row in rows:
         parent = DyadicInterval(*row["interval"])
-        kids = [c for c in family.node(parent).children
-                if family.node(c).trigger in ("type1", "both")]
+        kids = [c for c in family.nodes[parent].children
+                if family.nodes[c].trigger in ("type1", "both")]
         cond = np.linalg.cond(direct_average(weight.field.values, weight.depth, parent))
         rel = max(1e-12, 32 * np.finfo(float).eps * cond)
         for key, want in type1_trace_sums(weight, parent, kids).items():
@@ -754,7 +754,7 @@ def test_a_non_finite_average_reaches_the_eigensolve_and_raises(bad, monkeypatch
 
     weight, f = random_instance(3)
     assert weight.depth >= 2
-    real_averages = weight.level_averages
+    real_averages = weight.field.level_averages
 
     def poisoned(level):
         out = real_averages(level)
@@ -763,7 +763,7 @@ def test_a_non_finite_average_reaches_the_eigensolve_and_raises(bad, monkeypatch
             out[-1, 0, 0] = bad
         return out
 
-    monkeypatch.setattr(weight, "level_averages", poisoned)
+    monkeypatch.setattr(weight.field, "level_averages", poisoned)
     with pytest.raises(ValueError, match="non-finite entries"):
         sparse._GenerationScan(weight, sparse.analyze(f), f.values, ROOT,
                                default_stopping_config(weight.dim))

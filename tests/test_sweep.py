@@ -1,6 +1,8 @@
 import csv
+import json
 import math
 import pathlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -175,7 +177,7 @@ def test_loglog_slope_degenerate_cases():
 
 def test_config_json_roundtrip():
     cfg = small_config(stopping_c1=3.0)
-    rebuilt = ExperimentConfig.from_json_dict(cfg.to_json_dict())
+    rebuilt = ExperimentConfig.from_json_dict(json.loads(json.dumps(asdict(cfg))))
     assert rebuilt == cfg
 
 

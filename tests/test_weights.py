@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matw.weights as mweights
-from matw.dyadic import DyadicInterval, GridMatrixField, GridScalar
+from matw.dyadic import DyadicInterval, GridMatrixField, GridScalar, save_field
 from matw.linalg import psd_power_stack
 from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                           ainfty_characteristic, ainfty_directions,
                           fujii_wilson_constant, generate_weight,
                           halton_sphere_directions, load_weight,
-                          matrix_weight_from_scalar, save_weight, scalar_direction_weight,
+                          matrix_weight_from_scalar, scalar_direction_weight,
                           scalar_power_leaf_values)
 
 from _oracles import (a2_every_interval_reference, brute_fujii_wilson, brute_matrix_a2,
@@ -179,7 +179,8 @@ def test_a2_near_4e40_equals_the_every_interval_loop():
 def test_a2_with_a_non_finite_trace_bound_equals_the_every_interval_loop():
     # <w> <1/w> ~ 2.5e199 at the root, so tr((<W> <W^-1>)^2) overflows to inf
     weight = scalar_weight(2, [1e-100, 1e100, 1.0, 3.0])
-    root = mweights._a2_trace_bounds(weight.level_averages(0), weight.inverse_field.level_averages(0))
+    root = mweights._a2_trace_bounds(weight.field.level_averages(0),
+                                  weight.inverse_field.level_averages(0))
     assert not np.isfinite(root[0])
     a2 = a2_characteristic(weight)
     assert a2 == a2_every_interval_reference(weight) and a2 > 1e199
@@ -226,7 +227,7 @@ def test_sqrt_average_equals_its_row_of_the_level_root_bit_for_bit(kind):
     for dim in ((2,) if kind == "rotating" else (1, 2, 3, 4)):
         w = generate_weight(WeightFamilySpec(kind, dim, 6, parameter=0.5, seed=dim))
         for level in range(7):
-            roots = psd_power_stack(w.level_averages(level), 0.5)
+            roots = psd_power_stack(w.field.level_averages(level), 0.5)
             for index in range(1 << level):
                 assert np.array_equal(w.sqrt_average(DyadicInterval(level, index)), roots[index])
 
@@ -511,7 +512,7 @@ def test_generate_weight_accepts_the_deepest_normal_power_weight():
 def test_weight_json_roundtrip(tmp_path):
     w = generate_weight(WeightFamilySpec("rotating", 2, 3, parameter=0.7, seed=5))
     path = tmp_path / "w.json"
-    save_weight(w, str(path))
+    save_field(w, str(path))
     loaded = load_weight(str(path))
     assert np.max(np.abs(loaded.field.values - w.field.values)) <= 1e-15
     assert loaded.metadata["kind"] == "rotating"
@@ -526,6 +527,6 @@ def test_cached_averages_consistent_with_field():
         for j in range(1 << level):
             iv = DyadicInterval(level, j)
             direct = w.field.values[iv.leaf_slice(4)].mean(axis=0)
-            assert np.max(np.abs(w.average(iv) - direct)) <= 1e-12
+            assert np.max(np.abs(w.field.average(iv) - direct)) <= 1e-12
             inv_direct = w.inverse_field.values[iv.leaf_slice(4)].mean(axis=0)
             assert np.max(np.abs(w.inverse_field.average(iv) - inv_direct)) <= 1e-12
