@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.set_defaults(func=cmd_swnorm)
 
-    p = sub.add_parser("opnorm", help="squared operator norm via power iteration")
+    p = sub.add_parser("opnorm", help="squared operator norm via preconditioned LOBPCG")
     p.add_argument("weight")
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--rel-tol", type=float, default=1e-9)

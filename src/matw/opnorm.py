@@ -1,21 +1,33 @@
-"""Operator norm of the weighted square function by generalized power iteration.
+"""Operator norm of the weighted square function by preconditioned LOBPCG.
 
 The squared norm is the largest generalized eigenvalue of the pair (Q, P),
-  Q(f) = sum_I <<W>_I (f,h_I), (f,h_I)>,      P(f) = integral <W f, f>.
-Q is applied matrix-free through Haar analysis and synthesis with <W>_I
-multipliers; P is block diagonal over leaves, so each step applies the
-pointwise inverse W^-1 that the weight caches at construction. Each iterate is
-analyzed once: its coefficients give both the energy that decides convergence
-and the image under Q. The Rayleigh quotient of the final iterate is returned
+  Q(f) = sum_I <<W>_I (f,h_I), (f,h_I)> = <A f, f>,      P(f) = integral <W f, f>.
+A is applied matrix-free through Haar analysis and synthesis with <W>_I
+multipliers; P is block diagonal over leaves, and the pointwise inverse W^-1
+that the weight caches at construction preconditions the search.
+
+Each step is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001):
+Rayleigh-Ritz on span{x, w, p}, where w = W^-1 A x - mu x is the preconditioned
+residual of the iterate x at its Rayleigh quotient mu and p is the last step's
+update. The step analyzes and synthesizes w once, as a power step does its
+iterate, and keeps A x and A p as running combinations, so no vector is
+applied twice and no P-product is formed: P(w, x) = 0 and P(w) = <A x, w> by
+the choice of mu, P(p, w) = <A x, p> - mu P(p, x), and P(p, x), P(p) and Q(p)
+are carried through the 3 x 3 algebra. When those carried entries fail, that
+is when the Gram matrix of P is not safely positive definite or the Ritz value
+falls, p is dropped, P(x) is measured and the step is redone on span{x, w}.
+The loop stops when two successive steps each raise the Ritz value by at most
+rel_tol of it, or when w is rounding, that is when x is an eigenvector to
+working precision. The Rayleigh quotient of the final iterate is returned
 together with the iterate itself, so the value is always a witness-certified
 lower bound regardless of convergence.
 
 The step works component-major, on (d, n) arrays, so that every batched d x d
-product and every tree sum runs along the long index. The iterate's average
-tree is one (d, 2^(N+1) - 1) buffer in heap order: node i has children 2i+1
-and 2i+2, level k is the range [2^k - 1, 2^(k+1) - 1), and the leaves are
-[2^N - 1, 2^(N+1) - 1). The Haar coefficient of internal node i is then
-buf[:, 2i+1] - buf[:, 2i+2] times 0.5 |I|^{1/2}, and synthesis writes the
+product and every tree sum runs along the long index. The average tree of the
+analyzed vector is one (d, 2^(N+1) - 1) buffer in heap order: node i has
+children 2i+1 and 2i+2, level k is the range [2^k - 1, 2^(k+1) - 1), and the
+leaves are [2^N - 1, 2^(N+1) - 1). The Haar coefficient of internal node i is
+then buf[:, 2i+1] - buf[:, 2i+2] times 0.5 |I|^{1/2}, and synthesis writes the
 image back down the same buffer. <W>_I is read as one (d, d, 2^k) copy per
 tree level and W^-1 as one (d, d, 2^N) copy; both are views when d = 1.
 haar.analyze keeps the per-level (2^k, d) layout that the rest of the
@@ -24,6 +36,7 @@ package reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +44,13 @@ import numpy as np
 from .dyadic import GridVector
 from .haar import sw_norm_squared
 from .weights import MatrixWeight
+
+
+# P(W^-1 A x - mu x) at or below this share of mu^2 P(x) is rounding: x is an eigenvector
+_RESIDUAL_FLOOR = 64 * np.finfo(float).eps
+# a Gram matrix pivot, on unit diagonal, below this drops the search direction
+_PIVOT_FLOOR = 1e-10
+_OVERFLOW = "the operator norm's Rayleigh-Ritz entries overflow the float range"
 
 
 @dataclass(frozen=True)
@@ -78,23 +98,26 @@ class _HaarHeap:
             level = buf[:, lo:hi]
             np.add(buf[:, hi:2 * hi + 1:2], buf[:, hi + 1:2 * hi + 1:2], out=level)
             level *= 0.5
-        c = buf[:, 1::2] - buf[:, 2::2]
         energy = 0.0
+        # top down, level k's coefficients overwrite its averages, which level
+        # k - 1 has already read
         for k in range(self.depth):
             lo, hi = (1 << k) - 1, (2 << k) - 1
-            ck, wck = c[:, lo:hi], wc[:, lo:hi]
+            ck, wck = buf[:, lo:hi], wc[:, lo:hi]
+            np.subtract(buf[:, hi:2 * hi + 1:2], buf[:, hi + 1:2 * hi + 1:2], out=ck)
             ck *= 0.5 * 2.0 ** (-k / 2.0)
             np.einsum("ijn,jn->in", self.avg[k], ck, out=wck)
-            energy += np.sum(ck * wck)
+            energy += np.einsum("in,in->", ck, wck)
         return float(energy)
 
     def synthesize(self, out: np.ndarray) -> None:
-        """Leaf values of sum_I wc_I h_I into out; overwrites buf above the leaves."""
+        """Leaf values of sum_I wc_I h_I into out; overwrites buf above the leaves, and wc."""
         buf, wc = self.buf, self.wc
         buf[:, 0] = 0.0
         for k in range(self.depth):
             lo, hi = (1 << k) - 1, (2 << k) - 1
-            step = wc[:, lo:hi] * 2.0 ** (k / 2.0)
+            step = wc[:, lo:hi]
+            step *= 2.0 ** (k / 2.0)
             below = out if k == self.depth - 1 else buf[:, hi:2 * hi + 1]
             np.add(buf[:, lo:hi], step, out=below[:, 0::2])
             np.subtract(buf[:, lo:hi], step, out=below[:, 1::2])
@@ -127,6 +150,34 @@ def start_vector(weight: MatrixWeight, seed: int) -> GridVector:
     return GridVector(weight.depth, weight.dim, vals)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
+def _ritz(ga: np.ndarray, gb: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Top eigenpair (theta, c) of ga c = theta gb c with c' gb c = 1.
+
+    None when gb, scaled to unit diagonal, is not safely positive definite: some
+    basis vector then lies within the rounding of the span of the others.
+    """
+    if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
+        raise ValueError(_OVERFLOW)
+    diag = np.diag(gb)
+    if not np.all(diag > 0.0):
+        return None
+    scale = 1.0 / np.sqrt(diag)
+    try:
+        chol = np.linalg.cholesky(gb * np.outer(scale, scale))
+    except np.linalg.LinAlgError:
+        return None
+    if np.min(np.diag(chol)) ** 2 < _PIVOT_FLOOR:
+        return None
+    inv = np.linalg.inv(chol)
+    vals, vecs = np.linalg.eigh(inv @ (ga * np.outer(scale, scale)) @ inv.T)
+    c = scale * (inv.T @ vecs[:, -1])
+    return float(vals[-1]), (c if c[0] >= 0.0 else -c)
+
+
 def estimate_operator_norm(weight: MatrixWeight,
                            opts: PowerIterationOptions = PowerIterationOptions()
                            ) -> OperatorNormEstimate:
@@ -136,27 +187,97 @@ def estimate_operator_norm(weight: MatrixWeight,
         vals = np.zeros((1, weight.dim))
         vals[0, 0] = 1.0 / np.sqrt(weight.field.values[0, 0, 0])
         return OperatorNormEstimate(0.0, GridVector(0, weight.dim, vals), 0, True)
+    cell = 2.0 ** -weight.depth
+
+    def measured_p(v: np.ndarray) -> float:
+        return float(np.einsum("in,nij,jn->", v, weight.field.values, v)) * cell
+
     heap = _HaarHeap(weight, start_vector(weight, opts.seed).values)
     heap.analyze()
+    # x is the iterate; w, the preconditioned residual, is analyzed in place
+    x, w = heap.leaves.copy(), heap.leaves
+    ax, aw, p, ap = (np.empty_like(x) for _ in range(4))
+    heap.synthesize(ax)
     inverse = np.ascontiguousarray(weight.inverse_field.values.transpose(1, 2, 0))
-    image, g = np.empty_like(heap.leaves), np.empty_like(heap.leaves)
-    lam_prev = None
-    converged = False
+    xi = measured_p(x)  # P(x): measured here and on a restart, 1 after each step
+    has_p = False
+    s = t = u = 0.0  # P(p, x), P(p) and Q(p), carried from the last step
+    theta_prev = None
+    calm = converged = False
     iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        heap.synthesize(image)
-        np.einsum("ijn,jn->in", inverse, image, out=g)
-        # P(g) = integral <W g, g> = integral <image, g> for g = W^-1 image
-        norm = np.sqrt(float(np.sum(image * g)) * 2.0 ** -weight.depth)
-        if norm == 0.0:
-            break
-        np.divide(g, norm, out=heap.leaves)
-        lam = heap.analyze()
-        if lam_prev is not None and abs(lam - lam_prev) <= opts.rel_tol * max(lam, 1e-300):
+    while iters < opts.max_iters:
+        rho = _dot(x, ax) * cell
+        mu = rho / xi
+        np.einsum("ijn,jn->in", inverse, ax, out=w)
+        np.multiply(x, mu, out=aw)
+        w -= aw
+        gamma = _dot(w, ax) * cell
+        floor = _RESIDUAL_FLOOR * mu * mu * xi
+        if not math.isfinite(floor + gamma):
+            raise ValueError(_OVERFLOW)
+        if gamma <= floor:
+            if has_p:
+                # measure P(x) before taking x for an eigenvector
+                has_p, xi = False, measured_p(x)
+                continue
+            # W^-1 A x = mu x to rounding: x is an eigenvector
             converged = True
             break
-        lam_prev = lam
-    f = GridVector(weight.depth, weight.dim, heap.leaves.T)
-    # the loop's buffers go before the Rayleigh quotient allocates its own
-    del heap, inverse, image, g
+        iters += 1
+        eta = heap.analyze()
+        heap.synthesize(aw)
+        step = None
+        if has_p:
+            alpha, beta = _dot(ax, p) * cell, _dot(w, ap) * cell
+            ga = np.array([[rho, gamma, alpha], [gamma, eta, beta], [alpha, beta, u]])
+            gb = np.array([[xi, 0.0, s], [0.0, gamma, alpha - mu * s],
+                           [s, alpha - mu * s, t]])
+            step = _ritz(ga, gb)
+            if step is None or (theta_prev is not None and step[0] < theta_prev):
+                # the carried entries broke down: drop p, measure P(x) and
+                # recentre w on the measured Rayleigh quotient
+                has_p, xi = False, measured_p(x)
+                shift, mu = mu - rho / xi, rho / xi
+                w += np.multiply(x, shift, out=p)
+                aw += np.multiply(ax, shift, out=ap)
+                gamma, eta = _dot(w, ax) * cell, _dot(w, aw) * cell
+                if gamma <= _RESIDUAL_FLOOR * mu * mu * xi:
+                    converged = True
+                    break
+        if not has_p:
+            ga = np.array([[rho, gamma], [gamma, eta]])
+            gb = np.array([[xi, 0.0], [0.0, gamma]])
+            step = _ritz(ga, gb)
+        theta, c = step
+        # p <- c1 w + c2 p and x <- c0 x + p, each with its image under A
+        q = c.copy()
+        q[0] = 0.0
+        s, t, u = float(q @ gb @ c), float(q @ gb @ q), float(q @ ga @ q)
+        w *= c[1]
+        aw *= c[1]
+        if has_p:
+            p *= c[2]
+            p += w
+            ap *= c[2]
+            ap += aw
+        else:
+            p[...] = w
+            ap[...] = aw
+            has_p = True
+        x *= c[0]
+        x += p
+        ax *= c[0]
+        ax += ap
+        xi = 1.0
+        # a Ritz value that falls is never calm
+        calm_now = (theta_prev is not None
+                    and theta_prev <= theta <= theta_prev + opts.rel_tol * theta)
+        theta_prev = theta
+        if calm and calm_now:
+            converged = True
+            break
+        calm = calm_now
+    # the loop's buffers go before the witness checks and the Rayleigh quotient allocate
+    del heap, inverse, w, ax, aw, p, ap
+    f = GridVector(weight.depth, weight.dim, x.T)
     return OperatorNormEstimate(rayleigh_quotient(weight, f), f, iters, converged)

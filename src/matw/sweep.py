@@ -59,7 +59,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentConfig":
-        """KeyError for a missing required key; ValueError for an unknown key or a non-list grid/seeds."""
+        """KeyError for a missing required key; ValueError for an unknown key or a
+        value of the wrong JSON type."""
         unknown = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
         if unknown:
             raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
@@ -67,12 +68,42 @@ class ExperimentConfig:
             if f.default is MISSING and f.name not in obj:
                 raise KeyError(f.name)
         kwargs = dict(obj)
-        for name in ("grid", "seeds"):
-            if name in kwargs:
-                if not isinstance(kwargs[name], list):
-                    raise ValueError(f"'{name}' must be a list, got {type(kwargs[name]).__name__}")
-                kwargs[name] = tuple(kwargs[name])
+        for name, value in obj.items():
+            what, fits = _JSON_TYPES[name]
+            if name in ("grid", "seeds"):
+                if not isinstance(value, list):
+                    raise ValueError(f"'{name}' must be a list, got {type(value).__name__}")
+                wrong = [v for v in value if not fits(v)]
+                if wrong:
+                    raise ValueError(f"'{name}' entries must be {what}, got "
+                                     f"{type(wrong[0]).__name__}")
+                kwargs[name] = tuple(value)
+            elif not fits(value):
+                raise ValueError(f"'{name}' must be {what}, got {type(value).__name__}")
         return ExperimentConfig(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each sweep config value must be in JSON, per entry for the two lists
+_JSON_TYPES = {
+    "family_kind": ("a string", lambda v: isinstance(v, str)),
+    "dim": ("an integer", _is_int),
+    "depth": ("an integer", _is_int),
+    "grid": ("numbers", _is_number),
+    "seeds": ("integers", _is_int),
+    "n_directions": ("an integer", _is_int),
+    "power_max_iters": ("an integer", _is_int),
+    "power_rel_tol": ("a number", _is_number),
+    "stopping_c1": ("a number or null", lambda v: v is None or _is_number(v)),
+    "stopping_c2": ("a number", _is_number),
+}
 
 
 @dataclass

@@ -143,7 +143,8 @@ def matrix_power_iteration_norm(m: np.ndarray, iters: int = 5000, tol: float = 1
 
 
 def power_iteration_reference(weight, opts) -> OperatorNormEstimate:
-    """The power loop of `estimate_operator_norm` on per-level (2^k, d) arrays.
+    """Generalized power iteration for the top eigenvalue of (Q, P), on per-level
+    (2^k, d) arrays, stopped when successive energies agree within rel_tol.
 
     Each step analyzes the iterate with `matw.haar.analyze`, multiplies level k
     by <W>_I as an (n, d, d) einsum, and synthesizes with `matw.haar.synthesize`.
@@ -195,9 +196,13 @@ def dense_forms(weight) -> tuple[np.ndarray, np.ndarray]:
     q = np.zeros((n * d, n * d))
     for level in range(depth):
         for index in range(1 << level):
-            h = haar_leaf_values(depth, level, index) * leaf
-            avg = direct_average(weight.field.values, depth, DyadicInterval(level, index))
-            q += np.kron(np.outer(h, h), avg)
+            interval = DyadicInterval(level, index)
+            span = interval.leaf_slice(depth)
+            h = haar_leaf_values(depth, level, index)[span] * leaf
+            avg = direct_average(weight.field.values, depth, interval)
+            # h vanishes off the interval, so only its block of q moves
+            block = slice(span.start * d, span.stop * d)
+            q[block, block] += np.kron(np.outer(h, h), avg)
     p = np.zeros((n * d, n * d))
     for k in range(n):
         p[k * d:(k + 1) * d, k * d:(k + 1) * d] = weight.field.values[k] * leaf
@@ -207,8 +212,14 @@ def dense_forms(weight) -> tuple[np.ndarray, np.ndarray]:
 def dense_top_generalized_eigenvalue(weight) -> float:
     """Largest eigenvalue of (Q, P) by whitening with P^{-1/2} and a dense solve."""
     q, p = dense_forms(weight)
-    vals, vecs = np.linalg.eigh(p)
-    p_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    # P is block diagonal over leaves, so P^{-1/2} is too: one d x d root per leaf
+    n, d = 1 << weight.depth, weight.dim
+    blocks = np.array([p[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(n)])
+    vals, vecs = np.linalg.eigh(blocks)
+    roots = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    p_inv_sqrt = np.zeros_like(p)
+    for k in range(n):
+        p_inv_sqrt[k * d:(k + 1) * d, k * d:(k + 1) * d] = roots[k]
     sym = p_inv_sqrt @ q @ p_inv_sqrt
     return float(np.linalg.eigvalsh(sym)[-1])
 

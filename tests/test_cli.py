@@ -138,7 +138,17 @@ def test_env_seed_overrides_every_sweep_seed(tmp_path, monkeypatch, capsys):
     ({**SWEEP_CONFIG, "grid": 0.2}, "'grid' must be a list, got float"),
     ({**SWEEP_CONFIG, "n_direction": 4}, "unknown sweep config keys: n_direction"),
     ({**SWEEP_CONFIG, "stopping_c2": 0.5}, "stopping constants must exceed 1"),
-], ids=["json_list", "no_dim", "grid_not_a_list", "unknown_key", "bad_stopping_c2"])
+    ({**SWEEP_CONFIG, "dim": "1"}, "'dim' must be an integer, got str"),
+    ({**SWEEP_CONFIG, "depth": "3"}, "'depth' must be an integer, got str"),
+    ({**SWEEP_CONFIG, "n_directions": "8"}, "'n_directions' must be an integer, got str"),
+    ({**SWEEP_CONFIG, "grid": ["0.1"]}, "'grid' entries must be numbers, got str"),
+    ({**SWEEP_CONFIG, "seeds": [0, 1.5]}, "'seeds' entries must be integers, got float"),
+    ({**SWEEP_CONFIG, "dim": True}, "'dim' must be an integer, got bool"),
+    ({**SWEEP_CONFIG, "power_rel_tol": None}, "'power_rel_tol' must be a number, got NoneType"),
+    ({**SWEEP_CONFIG, "family_kind": 1}, "'family_kind' must be a string, got int"),
+], ids=["json_list", "no_dim", "grid_not_a_list", "unknown_key", "bad_stopping_c2",
+        "dim_str", "depth_str", "n_directions_str", "grid_entry_str", "seed_float",
+        "dim_bool", "rel_tol_null", "kind_int"])
 def test_bad_sweep_config_exits_2_with_one_line(tmp_path, monkeypatch, capsys, config, reason):
     def no_record(*args):
         pytest.fail("a record ran although the config is bad")

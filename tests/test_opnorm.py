@@ -12,10 +12,13 @@ from _oracles import (dense_top_generalized_eigenvalue, power_iteration_referenc
 
 
 def test_identity_weight_norm_is_one():
-    w = generate_weight(WeightFamilySpec("identity", 2, 5))
-    est = estimate_operator_norm(w)
-    assert est.converged
-    assert abs(est.value - 1.0) <= 1e-9
+    # A x = x for every mean-zero x, so the start vector is already an
+    # eigenvector: W^-1 A x = rho x, and the loop stops before its first step
+    for dim, depth in ((1, 1), (2, 5), (4, 9)):
+        w = generate_weight(WeightFamilySpec("identity", dim, depth))
+        est = estimate_operator_norm(w)
+        assert (est.iters, est.converged) == (0, True), (dim, depth)
+        assert abs(est.value - 1.0) <= 1e-15, (dim, depth)
 
 
 def test_two_cell_closed_form_and_witness_direction():
@@ -56,10 +59,9 @@ FAMILY_PARAMETERS = {"identity": 0.0, "scalar_power": 0.4, "block_scalar": 0.6,
                      "rotating": 1.5, "random_log_pd": 1.0}
 
 
-def test_heap_loop_matches_per_level_reference_loop():
-    # d = 1 runs the same floating-point operations in the same order; for
-    # d > 1 the d x d products and the sums over d components are ordered
-    # differently, which moves the value in the last bits only
+def test_value_between_power_loop_and_dense_value():
+    # LOBPCG reaches at least the power loop's value at the same rel_tol, and,
+    # being a witness's Rayleigh quotient, never passes the dense value
     opts = PowerIterationOptions(rel_tol=1e-9)
     for kind, t in FAMILY_PARAMETERS.items():
         for dim in ((2,) if kind == "rotating" else (1, 2, 3, 4)):
@@ -67,23 +69,67 @@ def test_heap_loop_matches_per_level_reference_loop():
                 w = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t, seed=depth))
                 est, ref = estimate_operator_norm(w, opts), power_iteration_reference(w, opts)
                 case = (kind, dim, depth)
-                assert (est.iters, est.converged) == (ref.iters, ref.converged), case
-                if dim == 1:
-                    assert est.value == ref.value, case
-                    assert np.array_equal(est.witness.values, ref.witness.values), case
-                else:
-                    assert abs(est.value - ref.value) <= 1e-13 * ref.value, case
+                assert est.converged, case
+                assert est.value >= ref.value * (1.0 - 1e-13), case
+                assert est.value <= dense_top_generalized_eigenvalue(w) * (1.0 + 1e-12), case
 
 
-@pytest.mark.parametrize("depth, dim, parent_peak", [(16, 1, 4_466_343), (12, 4, 1_121_465)])
-def test_power_iteration_peak_memory(depth, dim, parent_peak):
-    """Traced peak of one estimate against the per-level loop it replaced.
+def _ritz_spy(monkeypatch, reject_basis_of=None):
+    """Record each Rayleigh-Ritz basis size and result; optionally reject every
+    basis of the given size as not positive definite."""
+    import matw.opnorm as mopnorm
+    calls = []
+    original = mopnorm._ritz
 
-    That loop peaked at 4,465,401-4,466,343 bytes at (N, d) = (16, 1) and at
-    1,121,392-1,121,465 bytes at (12, 4), over three tracemalloc runs of the
-    same call (numpy 2.4); the bound takes the highest. The heap loop may add,
-    for d > 1, its (d, d, n) copies of <W>_I and of W^-1, 2 * 2^N * d^2
-    doubles; nothing else of that size.
+    def spy(ga, gb):
+        step = None if len(ga) == reject_basis_of else original(ga, gb)
+        calls.append((len(ga), step))
+        return step
+
+    monkeypatch.setattr(mopnorm, "_ritz", spy)
+    return calls
+
+
+def test_scalar_power_breakdown_drops_p_and_keeps_the_value(monkeypatch):
+    # at (N, d) = (18, 1), t = 0.4 the Gram matrix of span{x, w, p} is not
+    # safely positive definite after a few steps; a loop that kept trusting its
+    # carried entries there returned 0.5% of the value and called it converged
+    calls = _ritz_spy(monkeypatch)
+    w = generate_weight(WeightFamilySpec("scalar_power", 1, 18, parameter=0.4))
+    est = estimate_operator_norm(w)
+    ref = power_iteration_reference(w, PowerIterationOptions(rel_tol=1e-12))
+    assert (3, None) in calls
+    assert est.converged
+    assert abs(est.value - ref.value) <= 1e-12 * ref.value
+
+
+def test_restart_on_every_step_still_converges_to_dense_value(monkeypatch):
+    # with every three-vector basis rejected, each step restarts on span{x, w}
+    # with P(x) measured: steepest ascent, slower but sound
+    calls = _ritz_spy(monkeypatch, reject_basis_of=3)
+    for kind, dim, depth, t in (("random_log_pd", 2, 5, 1.0), ("scalar_power", 1, 7, 0.4),
+                                ("rotating", 2, 6, 1.5)):
+        w = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t, seed=3))
+        est = estimate_operator_norm(w, PowerIterationOptions(rel_tol=1e-12))
+        dense = dense_top_generalized_eigenvalue(w)
+        assert est.converged, kind
+        assert abs(est.value - dense) <= 1e-9 * dense, kind
+        assert rayleigh_quotient(w, est.witness) == est.value, kind
+    assert {size for size, _ in calls} == {2, 3}
+
+
+@pytest.mark.parametrize("depth, dim, bound", [(16, 1, 4_203_255), (12, 4, 2_300_185)])
+def test_power_iteration_peak_memory(depth, dim, bound):
+    """Traced peak of one estimate, five LOBPCG steps.
+
+    Measured at 4,201,393-4,203,255 bytes at (N, d) = (16, 1) and at
+    2,299,529-2,300,185 bytes at (12, 4), over three tracemalloc runs of the
+    same call in a fresh process and three in this suite (numpy 2.4); the bound
+    takes the highest. The power loop before it peaked at 3,413,225-3,414,991
+    and 2,036,161-2,036,193 bytes on the same runs. The loop keeps eight
+    (d, 2^N) arrays: the heap buffer and its coefficient block, the iterate,
+    the search direction p, and the images of iterate, residual and p;
+    the heap buffer holds the residual at its leaves.
     """
     import tracemalloc
     w = generate_weight(WeightFamilySpec("random_log_pd", dim, depth, parameter=1.0, seed=0))
@@ -93,8 +139,14 @@ def test_power_iteration_peak_memory(depth, dim, parent_peak):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    allowed = parent_peak + (0 if dim == 1 else 2 * (1 << depth) * dim * dim * 8)
-    assert peak <= allowed
+    assert peak <= bound
+
+
+def test_overflowing_iteration_fails_with_one_line_reason():
+    # leaf values span about 2^-650 to 1, so the squared residual leaves the float range
+    w = generate_weight(WeightFamilySpec("scalar_power", 1, 10, parameter=0.97))
+    with pytest.raises(ValueError, match="overflow the float range"):
+        estimate_operator_norm(w)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
