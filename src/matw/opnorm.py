@@ -175,7 +175,7 @@ def _ritz(ga: np.ndarray, gb: np.ndarray) -> tuple[float, np.ndarray] | None:
     inv = np.linalg.inv(chol)
     vals, vecs = np.linalg.eigh(inv @ (ga * np.outer(scale, scale)) @ inv.T)
     c = scale * (inv.T @ vecs[:, -1])
-    return float(vals[-1]), (c if c[0] >= 0.0 else -c)
+    return float(vals[-1]), c
 
 
 def estimate_operator_norm(weight: MatrixWeight,
