@@ -91,9 +91,9 @@ def _ritz_spy(monkeypatch, reject_basis_of=None):
 
 
 def test_scalar_power_breakdown_drops_p_and_keeps_the_value(monkeypatch):
-    # at (N, d) = (18, 1), t = 0.4 the Gram matrix of span{x, w, p} is not
-    # safely positive definite after a few steps; a loop that kept trusting its
-    # carried entries there returned 0.5% of the value and called it converged
+    # at (N, d) = (18, 1), t = 0.4 the Gram matrix of span{x, w, p} stops being
+    # safely positive definite after a few steps; carried entries trusted past
+    # that point can give a small fraction of the value, flagged as converged
     calls = _ritz_spy(monkeypatch)
     w = generate_weight(WeightFamilySpec("scalar_power", 1, 18, parameter=0.4))
     est = estimate_operator_norm(w)
