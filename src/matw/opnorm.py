@@ -151,7 +151,8 @@ def start_vector(weight: MatrixWeight, seed: int) -> GridVector:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(a.ravel(), b.ravel()))
+    # einsum, not a BLAS dot, whose sum order follows the thread count
+    return float(np.einsum("in,in->", a, b))
 
 
 def _ritz(ga: np.ndarray, gb: np.ndarray) -> tuple[float, np.ndarray] | None:

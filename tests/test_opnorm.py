@@ -142,6 +142,25 @@ def test_power_iteration_peak_memory(depth, dim, bound):
     assert peak <= bound
 
 
+def test_estimate_does_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS dot splits its sum by thread, which would move the bits
+    # of the inner products, and with them the steps, with the machine
+    import os
+    import subprocess
+    import sys
+    code = ("from matw.opnorm import estimate_operator_norm as e; "
+            "from matw.weights import WeightFamilySpec as S, generate_weight as g; "
+            "r = e(g(S('random_log_pd', 2, 14, parameter=1.0))); print(repr(r.value), r.iters)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert len(outs) == 1, outs
+
+
 def test_overflowing_iteration_fails_with_one_line_reason():
     # leaf values span about 2^-650 to 1, so the squared residual leaves the float range
     w = generate_weight(WeightFamilySpec("scalar_power", 1, 10, parameter=0.97))
