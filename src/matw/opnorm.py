@@ -18,7 +18,9 @@ is when the Gram matrix of P is not safely positive definite or the Ritz value
 falls, p is dropped, P(x) is measured and the step is redone on span{x, w}.
 The loop stops when two successive steps each raise the Ritz value by at most
 rel_tol of it, or when w is rounding, that is when x is an eigenvector to
-working precision. The Rayleigh quotient of the final iterate is returned
+working precision; a step that raises the Ritz value by rounding only shows
+the same, since the rise of Rayleigh-Ritz on span{x, w} is at least about
+P(w) / mu. The Rayleigh quotient of the final iterate is returned
 together with the iterate itself, so the value is always a witness-certified
 lower bound regardless of convergence.
 
@@ -270,14 +272,14 @@ def estimate_operator_norm(weight: MatrixWeight,
         ax *= c[0]
         ax += ap
         xi = 1.0
-        # a Ritz value that falls is never calm
+        # a Ritz value that falls is never calm; one that rises by rounding only
+        # needs no second calm step, as the rise bounds P(w) by the floor below
         calm_now = (theta_prev is not None
                     and theta_prev <= theta <= theta_prev + opts.rel_tol * theta)
-        theta_prev = theta
-        if calm and calm_now:
+        if calm_now and (calm or theta - theta_prev <= _RESIDUAL_FLOOR * theta):
             converged = True
             break
-        calm = calm_now
+        calm, theta_prev = calm_now, theta
     # the loop's buffers go before the witness checks and the Rayleigh quotient allocate
     del heap, inverse, w, ax, aw, p, ap
     f = GridVector(weight.depth, weight.dim, x.T)
