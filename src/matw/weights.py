@@ -17,6 +17,18 @@ directions, eigenvector directions of coarse-scale averages, and quasi-uniform
 unit vectors, so the reported number is a certified lower bound of the true
 supremum. For scalar weights (d = 1) it is exact. It reads a GridMatrixField,
 so [W^-1]_{A_infinity} is taken on a weight's inverse_field.
+
+The direction weights w_e(x) = <W(x) e, e> of a block of directions come from
+one BLAS product, their outer products (c, d^2) times the leaves (d^2, 2^N). A
+block holds max(1, 2^18 >> N) directions: at most 2^18 floats (2 MB) up to
+N = 18 and one direction past it, so memory does not grow with the number of
+directions sampled, and one product amortizes its call over many directions
+where a single one is short. At d = 1, e = +-1
+and the product is exact. At d > 1 it rounds differently from a per-direction
+sum of W_ij e_i e_j: leaf values of w_e move by a few units in the last place
+(up to 6e-15 relative on the five families at N <= 14) and the sampled
+A-infinity by at most 2.5e-16 relative. The Fujii-Wilson fold folds rows of
+fewer than 8 leaves column by column, with the same bits as numpy's mean.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from .linalg import EPS_PD, PSD_TOL, psd_power_stack, top_eigenvalue_stack
 
 FAMILY_KINDS = ("identity", "scalar_power", "block_scalar", "rotating", "random_log_pd")
 NORMAL_MIN = float(np.finfo(float).tiny)  # leaf eigenvalues lie in [NORMAL_MIN, 1 / NORMAL_MIN]
+AINFTY_BLOCK_FLOATS = 1 << 18  # direction weights held at once by ainfty_characteristic
 
 
 class MatrixWeight:
@@ -192,16 +205,25 @@ def a2_characteristic(weight: MatrixWeight) -> float:
     return best
 
 
+def _direction_weights(field: GridMatrixField, dirs: np.ndarray) -> np.ndarray:
+    """Rows w_e(x) = <W(x) e, e> for a block of unit directions dirs (c, d): one
+    BLAS product of their outer products (c, d^2) with the leaves (d^2, 2^N)."""
+    d2 = field.dim * field.dim
+    outer = (dirs[:, :, None] * dirs[:, None, :]).reshape(len(dirs), d2)
+    return outer @ field.values.reshape(-1, d2).T
+
+
 def scalar_direction_weight(field: GridMatrixField, e: np.ndarray) -> GridScalar:
     """The scalar weight x -> <W(x) e, e> for a unit direction e."""
     e = np.asarray(e, dtype=float)
+    if e.shape != (field.dim,):
+        raise ValueError(f"direction must have shape ({field.dim},), got {e.shape}")
     norm = float(np.linalg.norm(e))
     if norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector (norm {norm!r})")
-    vals = np.einsum("nij,i,j->n", field.values, e, e)
-    return GridScalar(field.depth, vals)
+    return GridScalar(field.depth, _direction_weights(field, e.reshape(1, -1))[0])
 
 
 def fujii_wilson_constant(w: GridScalar) -> float:
@@ -209,6 +231,11 @@ def fujii_wilson_constant(w: GridScalar) -> float:
 
     One bottom-up pass, O(N 2^N) total: once root level r is folded in,
     running[x] = M_I w(x) for the interval I of level r that contains x.
+    numpy's mean adds a row of fewer than 8 values left to right, so such
+    rows are folded column by column: a strided max per column, then the
+    columns added left to right, the same bits in a few long passes instead
+    of one short reduction per row. From 8 values on numpy sums pairwise,
+    so wider rows keep mean.
     """
     if np.any(w.values <= 0.0):
         raise ValueError("weight must be positive")
@@ -217,9 +244,21 @@ def fujii_wilson_constant(w: GridScalar) -> float:
     best = 1.0
     running = tree[depth].copy()
     for root_level in range(depth, -1, -1):
+        avg = tree[root_level]
         view = running.reshape(1 << root_level, -1)  # row j: the leaves under (root_level, j)
-        np.maximum(view, tree[root_level][:, None], out=view)
-        best = max(best, float(np.max(view.mean(axis=1) / tree[root_level])))
+        width = view.shape[1]
+        if width < 8:
+            cols = [view[:, j] for j in range(width)]
+            for col in cols:
+                np.maximum(col, avg, out=col)
+            mean = cols[0].copy()
+            for col in cols[1:]:
+                mean += col
+            mean /= width
+        else:
+            np.maximum(view, avg[:, None], out=view)
+            mean = view.mean(axis=1)
+        best = max(best, float(np.max(np.divide(mean, avg, out=mean))))
     return best
 
 
@@ -273,12 +312,14 @@ def ainfty_directions(field: GridMatrixField, n_directions: int, seed: int = 0) 
         dirs.append(vecs.transpose(0, 2, 1).reshape(-1, d))
     stacked = np.concatenate(dirs, axis=0)
     stacked /= np.linalg.norm(stacked, axis=1, keepdims=True)
-    kept: list[np.ndarray] = []
-    for v in stacked:
-        if all(abs(float(v @ u)) < 1.0 - 1e-10 for u in kept):
-            kept.append(v)
+    # greedy: a candidate is kept unless it is within 1e-10 of a kept one, up to sign
+    apart = np.abs(stacked @ stacked.T) < 1.0 - 1e-10
+    kept: list[int] = []
+    for i in range(len(stacked)):
+        if apart[i, kept].all():
+            kept.append(i)
     fill = halton_sphere_directions(d, n_directions - len(kept), seed)
-    return np.array(kept + list(fill)) if len(fill) else np.array(kept)
+    return np.concatenate([stacked[kept], fill])
 
 
 def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int = 0) -> float:
@@ -286,16 +327,21 @@ def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int =
 
     A lower bound of the true supremum over directions; exact for d = 1.
     W_e = W_{-e} holds bit for bit, so a direction equal to -u for an already
-    evaluated u is skipped, as is an exact repeat.
+    evaluated u is skipped, as is an exact repeat. The direction weights are
+    built AINFTY_BLOCK_FLOATS >> N directions at a time, at least one.
     """
-    best = 1.0
+    distinct: list[np.ndarray] = []
     seen: set[tuple[float, ...]] = set()
     for e in ainfty_directions(field, n_directions, seed):
         key = tuple(e.tolist())
-        if key in seen:
-            continue
-        seen.update((key, tuple((-e).tolist())))
-        best = max(best, fujii_wilson_constant(scalar_direction_weight(field, e)))
+        if key not in seen:
+            seen.update((key, tuple((-e).tolist())))
+            distinct.append(e)
+    block = max(1, AINFTY_BLOCK_FLOATS >> field.depth)
+    best = 1.0
+    for start in range(0, len(distinct), block):
+        for row in _direction_weights(field, np.array(distinct[start:start + block])):
+            best = max(best, fujii_wilson_constant(GridScalar(field.depth, row)))
     return best
 
 
