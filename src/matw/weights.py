@@ -231,6 +231,7 @@ def fujii_wilson_constant(w: GridScalar) -> float:
 
     One bottom-up pass, O(N 2^N) total: once root level r is folded in,
     running[x] = M_I w(x) for the interval I of level r that contains x.
+    Root level N is not folded: each of its ratios is w(x) / w(x) = 1.
     numpy's mean adds a row of fewer than 8 values left to right, so such
     rows are folded column by column: a strided max per column, then the
     columns added left to right, the same bits in a few long passes instead
@@ -243,7 +244,7 @@ def fujii_wilson_constant(w: GridScalar) -> float:
     depth = w.depth
     best = 1.0
     running = tree[depth].copy()
-    for root_level in range(depth, -1, -1):
+    for root_level in range(depth - 1, -1, -1):
         avg = tree[root_level]
         view = running.reshape(1 << root_level, -1)  # row j: the leaves under (root_level, j)
         width = view.shape[1]
@@ -340,8 +341,9 @@ def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int =
     block = max(1, AINFTY_BLOCK_FLOATS >> field.depth)
     best = 1.0
     for start in range(0, len(distinct), block):
-        for row in _direction_weights(field, np.array(distinct[start:start + block])):
-            best = max(best, fujii_wilson_constant(GridScalar(field.depth, row)))
+        # row is local to the comprehension, so no view of this block outlives it
+        best = max(best, *[fujii_wilson_constant(GridScalar(field.depth, row)) for row in
+                           _direction_weights(field, np.array(distinct[start:start + block]))])
     return best
 
 

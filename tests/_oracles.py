@@ -8,7 +8,11 @@ the unweighted square function; `stopping_children` runs the library's own
 generation scan; `norm_condition_mask` takes the weight's averages and
 `psd_power`; `a2_every_interval_reference` is the library's former A2 loop,
 which eigensolves every interval with the library's own `psd_power_stack` and
-`top_eigenvalue_stack`. `test_analyze_matches_haar_inner_products` pins
+`top_eigenvalue_stack`; `fujii_wilson_reference` is the library's former
+Fujii-Wilson fold, with a row-wise mean at every level, on the scalar's own
+average tree; `ainfty_directions_reference` and `ainfty_reference` are the
+former A-infinity direction set and loop, which take the field's averages and
+the library's Halton fill. `test_analyze_matches_haar_inner_products` pins
 `analyze` against `haar_leaf_values` coefficient by coefficient.
 """
 
@@ -19,6 +23,7 @@ from matw.haar import analyze, synthesize
 from matw.linalg import psd_power, psd_power_stack, top_eigenvalue_stack
 from matw.opnorm import OperatorNormEstimate, rayleigh_quotient, start_vector
 from matw.sparse import _GenerationScan
+from matw.weights import halton_sphere_directions
 
 ENUMERATION_CAP = 22
 
@@ -96,6 +101,53 @@ def a2_every_interval_reference(weight) -> float:
             raise ValueError(f"A2 overflows at level {level}: "
                              "<W>^1/2 <W^-1> <W>^1/2 has non-finite entries")
         best = max(best, float(np.max(top_eigenvalue_stack(sandwich))))
+    return best
+
+
+def fujii_wilson_reference(w: GridScalar) -> float:
+    """The bottom-up fold with a row-wise max and mean at every root level.
+    fujii_wilson_constant must return the same bits."""
+    tree = w.average_tree()
+    best = 1.0
+    running = tree[w.depth].copy()
+    for root_level in range(w.depth, -1, -1):
+        view = running.reshape(1 << root_level, -1)
+        np.maximum(view, tree[root_level][:, None], out=view)
+        best = max(best, float(np.max(view.mean(axis=1) / tree[root_level])))
+    return best
+
+
+def ainfty_directions_reference(field, n_directions: int, seed: int = 0) -> np.ndarray:
+    """The direction set with a greedy dedup that takes one dot product per
+    kept direction; ainfty_directions must return the same arrays."""
+    d = field.dim
+    dirs = [np.eye(d)]
+    for level in range(min(field.depth, 4) + 1):
+        _, vecs = np.linalg.eigh(field.level_averages(level))
+        dirs.append(vecs.transpose(0, 2, 1).reshape(-1, d))
+    stacked = np.concatenate(dirs, axis=0)
+    stacked /= np.linalg.norm(stacked, axis=1, keepdims=True)
+    kept: list[np.ndarray] = []
+    for v in stacked:
+        if all(abs(float(v @ u)) < 1.0 - 1e-10 for u in kept):
+            kept.append(v)
+    fill = halton_sphere_directions(d, n_directions - len(kept), seed)
+    return np.array(kept + list(fill)) if len(fill) else np.array(kept)
+
+
+def ainfty_reference(field, n_directions: int, seed: int = 0) -> float:
+    """Sampled A-infinity one direction at a time: the weight <W(x) e, e> by a
+    three-operand einsum, then fujii_wilson_reference, skipping an exact
+    repeat of a direction or of its negative."""
+    best = 1.0
+    seen: set[tuple[float, ...]] = set()
+    for e in ainfty_directions_reference(field, n_directions, seed):
+        key = tuple(e.tolist())
+        if key in seen:
+            continue
+        seen.update((key, tuple((-e).tolist())))
+        vals = np.einsum("nij,i,j->n", field.values, e, e)
+        best = max(best, fujii_wilson_reference(GridScalar(field.depth, vals)))
     return best
 
 

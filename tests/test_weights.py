@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -15,8 +16,9 @@ from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                           matrix_weight_from_scalar, scalar_direction_weight,
                           scalar_power_leaf_values)
 
-from _oracles import (a2_every_interval_reference, brute_fujii_wilson, brute_matrix_a2,
-                      brute_scalar_a2)
+from _oracles import (a2_every_interval_reference, ainfty_directions_reference, ainfty_reference,
+                      brute_fujii_wilson, brute_matrix_a2, brute_scalar_a2,
+                      fujii_wilson_reference)
 
 # family-calibration regression value, frozen from this implementation
 GOLDEN_SCALAR_POWER_A2_N10_T05 = 877.428572041448
@@ -259,6 +261,8 @@ def test_direction_weight_rejects_bad_directions():
         scalar_direction_weight(w.field, np.zeros(2))
     with pytest.raises(ValueError, match="unit"):
         scalar_direction_weight(w.field, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="shape"):
+        scalar_direction_weight(w.field, np.array([1.0]))
 
 
 def test_fujii_wilson_constant_weight():
@@ -316,6 +320,26 @@ def test_fujii_wilson_comparable_to_a2():
         assert 1.0 <= fw <= 2.0 * brute_scalar_a2(vals, depth)
 
 
+def _fold_inputs(depth: int) -> dict[str, np.ndarray]:
+    n = 1 << depth
+    rng = np.random.default_rng(depth)
+    spike = np.ones(n)
+    spike[rng.integers(n)] = 1e6
+    # constant on blocks of up to 8 leaves: the running max ties the average
+    blocks = np.repeat(np.exp(rng.normal(size=max(1, n >> 3))), min(n, 8))
+    return {"log_normal": np.exp(2.0 * rng.normal(size=n)),
+            "power_law": ((np.arange(n) + 0.5) / n) ** -0.9,
+            "spike": spike, "constant_blocks": blocks}
+
+
+@pytest.mark.parametrize("depth", range(17))
+def test_fujii_wilson_equals_the_row_mean_fold_bit_for_bit(depth):
+    # depth 16 folds rows of every width from 1 to 2^16: 1, 2 and 4 by columns, the rest by mean
+    for name, vals in _fold_inputs(depth).items():
+        w = GridScalar(depth, vals)
+        assert fujii_wilson_constant(w) == fujii_wilson_reference(w), name
+
+
 def test_fujii_wilson_rejects_nonpositive():
     with pytest.raises(ValueError, match="positive"):
         fujii_wilson_constant(GridScalar(1, [1.0, 0.0]))
@@ -344,6 +368,99 @@ def test_ainfty_evaluates_each_direction_once_up_to_sign(monkeypatch):
     assert len(ainfty_directions(w.field, 8)) == 8
     ainfty_characteristic(w.field, 8)
     assert len(calls) == 1
+
+
+def _ainfty_fields(kind: str, dim: int):
+    t = {"identity": 0.0, "scalar_power": 0.5, "block_scalar": 0.5, "rotating": 1.5,
+         "random_log_pd": 1.2}[kind]
+    for depth in (0, 1, 5, 10):
+        w = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t, seed=depth))
+        yield from (w.field, w.inverse_field)
+
+
+AINFTY_CASES = [(kind, dim) for kind in FAMILY_KINDS for dim in (1, 2, 3, 4)
+                if kind != "rotating" or dim == 2]
+
+
+@pytest.mark.parametrize("kind,dim", AINFTY_CASES)
+def test_ainfty_equals_the_per_direction_loop(kind, dim):
+    """Blocks of directions and one BLAS product against one einsum per
+    direction: exact at d = 1, where e = +-1; rounded otherwise."""
+    for field in _ainfty_fields(kind, dim):
+        for seed in (0, 3):
+            fast, ref = ainfty_characteristic(field, 8, seed), ainfty_reference(field, 8, seed)
+            if dim == 1:
+                assert fast == ref, (field.depth, seed)
+            else:
+                assert abs(fast - ref) <= 1e-15 * ref, (field.depth, seed, fast, ref)
+
+
+@pytest.mark.parametrize("kind,dim", AINFTY_CASES)
+def test_ainfty_directions_equal_the_one_dot_at_a_time_dedup(kind, dim):
+    for field in _ainfty_fields(kind, dim):
+        for seed in (0, 3):
+            assert np.array_equal(ainfty_directions(field, 8, seed),
+                                  ainfty_directions_reference(field, 8, seed)), field.depth
+
+
+@pytest.mark.parametrize("gap,kept", [(1e-12, False), (1e-8, True)])
+def test_ainfty_directions_merge_within_1e_10(gap, kept):
+    """A depth-0 weight whose eigenvectors lie at 1 - |<u, e_i>| = gap from the
+    coordinates: merged with them below the 1e-10 threshold, kept above it."""
+    theta = math.acos(1.0 - gap)
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    field = GridMatrixField(0, 2, (rot @ np.diag([2.0, 1.0]) @ rot.T)[None])
+    dirs = ainfty_directions(field, 4)
+    assert len(dirs) == 4 and np.array_equal(dirs[:2], np.eye(2))
+    assert np.array_equal(dirs, ainfty_directions_reference(field, 4))
+    halton = halton_sphere_directions(2, 2, 0)
+    assert np.array_equal(dirs[2:], halton) != kept
+    if kept:
+        assert np.allclose(np.sort(np.abs(dirs[2:] @ np.eye(2)).max(axis=1)), 1.0 - gap,
+                           rtol=0, atol=1e-15)
+
+
+def test_ainfty_does_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS product that split its sums by thread would move the
+    # bits of the direction weights with the machine
+    import os
+    import subprocess
+    import sys
+    code = ("from matw.weights import WeightFamilySpec as S, generate_weight as g, "
+            "ainfty_characteristic as a; "
+            "w = g(S('random_log_pd', 4, 14, parameter=1.0)); "
+            "print(repr(a(w.field, 16)), repr(a(w.inverse_field, 16)))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert len(outs) == 1, outs
+
+
+@pytest.mark.parametrize("kind,dim,depth,bound", [("random_log_pd", 4, 14, 3_000_000),
+                                                  ("scalar_power", 1, 18, 8_400_000)])
+def test_ainfty_peak_memory(kind, dim, depth, bound):
+    """Traced peak of one A-infinity call (tracemalloc, numpy 2.4).
+
+    At (14, 4) the 128 directions go in blocks of 16, 2 MB each, and the call
+    peaks at about 2.5 MB; one block of all 128 would hold 16 MB, and the
+    einsum loop peaked at 0.7 MB. At (18, 1) the fold of the one direction
+    sets the peak: about 7.9 MB, against 8.4 MB for the row-mean fold.
+    """
+    import tracemalloc
+    t = 0.3 if kind == "scalar_power" else 1.0
+    field = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t)).field
+    tracemalloc.start()
+    try:
+        ainfty_characteristic(field, 2 * dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_inverse_weight_swaps_fields_without_changing_ainfty():
