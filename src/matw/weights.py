@@ -19,16 +19,16 @@ supremum. For scalar weights (d = 1) it is exact. It reads a GridMatrixField,
 so [W^-1]_{A_infinity} is taken on a weight's inverse_field.
 
 The direction weights w_e(x) = <W(x) e, e> of a block of directions come from
-one BLAS product, their outer products (c, d^2) times the leaves (d^2, 2^N). A
-block holds max(1, 2^18 >> N) directions: at most 2^18 floats (2 MB) up to
-N = 18 and one direction past it, so memory does not grow with the number of
-directions sampled, and one product amortizes its call over many directions
-where a single one is short. At d = 1, e = +-1
-and the product is exact. At d > 1 it rounds differently from a per-direction
-sum of W_ij e_i e_j: leaf values of w_e move by a few units in the last place
-(up to 6e-15 relative on the five families at N <= 14) and the sampled
-A-infinity by at most 2.5e-16 relative. The Fujii-Wilson fold folds rows of
-fewer than 8 leaves column by column, with the same bits as numpy's mean.
+one BLAS product, their outer products (c, d^2) times the leaves (d^2, 2^N).
+One product per block spreads the cost of a call over many directions where
+2^N is small. A block holds max(1, 2^18 >> N) directions, at most 2^18 floats
+(2 MB) up to N = 18 and one direction past it, so memory does not grow with
+the number of directions. At d = 1, e = +-1 and the product is exact. At
+d > 1 it rounds differently from a per-direction sum of W_ij e_i e_j: leaf
+values of w_e move by a few units in the last place (up to 6e-15 relative on
+the five families at N <= 14), and the sampled A-infinity by at most 2.5e-16
+relative. The Fujii-Wilson fold takes rows of fewer than 8 leaves column by
+column, with the same bits as numpy's mean (see fujii_wilson_constant).
 """
 
 from __future__ import annotations
