@@ -23,12 +23,13 @@ one BLAS product, their outer products (c, d^2) times the leaves (d^2, 2^N).
 One product per block spreads the cost of a call over many directions where
 2^N is small. A block holds max(1, 2^18 >> N) directions, at most 2^18 floats
 (2 MB) up to N = 18 and one direction past it, so memory does not grow with
-the number of directions. At d = 1, e = +-1 and the product is exact. At
-d > 1 it rounds differently from a per-direction sum of W_ij e_i e_j: leaf
-values of w_e move by a few units in the last place (up to 6e-15 relative on
-the five families at N <= 14), and the sampled A-infinity by at most 2.5e-16
-relative. The Fujii-Wilson fold takes rows of fewer than 8 leaves column by
-column, with the same bits as numpy's mean (see fujii_wilson_constant).
+the number of directions. At d = 1, e = +-1 and the product is exact. At d > 1
+it rounds differently from a per-direction sum of W_ij e_i e_j: leaf values of
+w_e move by a few units in the last place (up to 6e-15 relative on the five
+families at N <= 14), and the sampled A-infinity by one or two units (at most
+2.6e-16 relative at N <= 10). The Fujii-Wilson fold takes rows of fewer than 8
+leaves column by column, with the same bits as numpy's mean (see
+fujii_wilson_constant).
 """
 
 from __future__ import annotations
