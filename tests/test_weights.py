@@ -334,7 +334,8 @@ def _fold_inputs(depth: int) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("depth", range(17))
 def test_fujii_wilson_equals_the_row_mean_fold_bit_for_bit(depth):
-    # depth 16 folds rows of every width from 1 to 2^16: 1, 2 and 4 by columns, the rest by mean
+    # the reference folds rows of every width from 1 to 2^depth; the library skips width 1,
+    # takes 2 and 4 by columns and the rest by mean
     for name, vals in _fold_inputs(depth).items():
         w = GridScalar(depth, vals)
         assert fujii_wilson_constant(w) == fujii_wilson_reference(w), name
