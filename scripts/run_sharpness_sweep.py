@@ -3,8 +3,9 @@
 characteristic for the scalar power family.
 
 Writes one CSV per run; the footer carries the fitted log-log slope. With the
-default grid the squared-norm slope sits near 1, the empirical face of the
-linear A2 bound. Each record's mixed-bound ratio is a lower estimate of the
+default grid the squared-norm slope sits near 1 because of the t >= 1/3
+records, where normsq/A2 -> 1: it shows that the linear A2 bound holds, not
+that it is attained. Each record's mixed-bound ratio is a lower estimate of the
 mixed-estimate constant at that weight. For t >= 1/3 the inverse weight has no
 continuum limit and the ratio falls with the depth N like 1/sqrt(N/2 + 1): at
 N = 6 to 18 it is 1.45, 1.045 and 1.000 times that at t = 0.5, 0.7 and 0.9,

@@ -22,7 +22,7 @@ from .sparse import (SparseFamily, StoppingConfig, build_sparse_family, certify,
 from .sweep import ExperimentConfig, SweepRecord, emit_csv, run_sweep
 from .weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                       ainfty_characteristic, fujii_wilson_constant, generate_weight,
-                      load_weight, matrix_weight_from_scalar, scalar_direction_weight)
+                      load_weight, matrix_weight_from_scalar)
 
 __all__ = [
     "DyadicInterval", "GridMatrixField", "GridScalar", "GridVector", "ROOT",
@@ -37,5 +37,5 @@ __all__ = [
     "ExperimentConfig", "SweepRecord", "emit_csv", "run_sweep",
     "MatrixWeight", "WeightFamilySpec", "a2_characteristic",
     "ainfty_characteristic", "fujii_wilson_constant", "generate_weight",
-    "load_weight", "matrix_weight_from_scalar", "scalar_direction_weight",
+    "load_weight", "matrix_weight_from_scalar",
 ]

@@ -32,23 +32,10 @@ class DyadicInterval:
     def measure(self) -> float:
         return 2.0 ** -self.level
 
-    @property
-    def left_endpoint(self) -> float:
-        return self.index * 2.0 ** -self.level
-
-    @property
-    def right_endpoint(self) -> float:
-        return (self.index + 1) * 2.0 ** -self.level
-
     def parent(self) -> "DyadicInterval":
         if self.level == 0:
             raise ValueError("root has no parent")
         return DyadicInterval(self.level - 1, self.index // 2)
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        if other.level < self.level:
-            return False
-        return (other.index >> (other.level - self.level)) == self.index
 
     def leaf_slice(self, depth: int) -> slice:
         """Range of leaf indices under this interval on the depth-N grid."""

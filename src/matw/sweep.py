@@ -3,8 +3,9 @@
 One record per (parameter, seed): weight characteristics, the squared-norm
 estimate with its certifying witness, and the sparse domination bound evaluated
 at that witness. The CSV footer carries the fitted log-log slope of the
-squared-norm estimate against the A2 characteristic; for the scalar power
-family this slope is the empirical trace of the linear growth regime.
+squared-norm estimate against the A2 characteristic. For the scalar power
+family's default grid it sits near 1 because of the t >= 1/3 records, where
+normsq/A2 -> 1: it shows that the linear bound holds, not that it is attained.
 
 The sampled A-infinity column is a lower bound of the true characteristic
 (exact for d = 1), so the mixed-bound ratio column can exceed what the exact

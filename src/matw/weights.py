@@ -19,17 +19,22 @@ supremum. For scalar weights (d = 1) it is exact. It reads a GridMatrixField,
 so [W^-1]_{A_infinity} is taken on a weight's inverse_field.
 
 The direction weights w_e(x) = <W(x) e, e> of a block of directions come from
-one BLAS product, their outer products (c, d^2) times the leaves (d^2, 2^N).
-One product per block spreads the cost of a call over many directions where
-2^N is small. A block holds max(1, 2^18 >> N) directions, at most 2^18 floats
-(2 MB) up to N = 18 and one direction past it, so memory does not grow with
-the number of directions. At d = 1, e = +-1 and the product is exact. At d > 1
-it rounds differently from a per-direction sum of W_ij e_i e_j: leaf values of
-w_e move by a few units in the last place (up to 6e-15 relative on the five
-families at N <= 14), and the sampled A-infinity by one or two units (at most
-2.6e-16 relative at N <= 10). The Fujii-Wilson fold takes rows of fewer than 8
-leaves column by column, with the same bits as numpy's mean (see
-fujii_wilson_constant).
+one BLAS product, their outer products (c, d^2) times the leaves (d^2, 2^N),
+and the block goes straight to the Fujii-Wilson fold, which overwrites it
+level by level and stores no average tree. A block holds max(1, 2^17 >> N)
+directions, at most 2^17 floats (1 MB) up to N = 17 and one direction past
+it, so memory does not grow with the number of directions. At d = 1, e = +-1
+and the product is exact. At d > 1 it rounds differently from a per-direction
+sum of W_ij e_i e_j: leaf values of w_e move by a few units in the last place
+(up to 6e-15 relative on the five families at N <= 14), and the sampled
+A-infinity by one or two units (at most 2.6e-16 relative at N <= 10). The
+fold takes rows of fewer than 8 leaves column by column, with the same bits
+as numpy's mean (see _fujii_wilson_fold).
+
+random_log_pd builds its leaves as V exp(L) V^T from an eigh of a symmetric
+draw and hands (exp(L), V) to MatrixWeight, so the leaves are eigensolved
+once. Its inverse V exp(-L) V^T then rounds differently from an eigh of the
+stored leaves, by at most 22 cond(W(x)) u ||W(x)^-1|| per leaf at N <= 14.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .linalg import EPS_PD, PSD_TOL, psd_power_stack, top_eigenvalue_stack
 
 FAMILY_KINDS = ("identity", "scalar_power", "block_scalar", "rotating", "random_log_pd")
 NORMAL_MIN = float(np.finfo(float).tiny)  # leaf eigenvalues lie in [NORMAL_MIN, 1 / NORMAL_MIN]
-AINFTY_BLOCK_FLOATS = 1 << 18  # direction weights held at once by ainfty_characteristic
+AINFTY_BLOCK_FLOATS = 1 << 17  # direction weights held at once by ainfty_characteristic
 
 
 class MatrixWeight:
@@ -56,15 +61,19 @@ class MatrixWeight:
     are trustworthy. eps_pd itself may not fall below EPS_PD, nor below
     4 d^2 times the machine epsilon. The spread across the grid is not enforced; extreme
     power-law weights are legitimate inputs whose leaves are individually well
-    conditioned.
+    conditioned. A caller that built the leaves from their eigendecomposition
+    passes it as spectrum; the checks and the inverse then read it in place
+    of an eigh of the leaves.
     """
 
-    def __init__(self, field: GridMatrixField, eps_pd: float = EPS_PD, metadata: dict | None = None):
+    def __init__(self, field: GridMatrixField, eps_pd: float = EPS_PD, metadata: dict | None = None,
+                 *, spectrum: tuple[np.ndarray, np.ndarray] | None = None):
         # a floor on eps_pd bounds cond(<W>_I) by 1/eps_pd, which the stopping scan's trace filter needs
         floor = max(EPS_PD, 4.0 * field.dim * field.dim * float(np.finfo(float).eps))
         if not eps_pd >= floor:
             raise ValueError(f"eps_pd {eps_pd:.1e} is below the floor {floor:.1e}")
-        vals, vecs = np.linalg.eigh(field.values)
+        # spectrum: the leaves' ascending eigenvalues (n, d) and eigenvectors (n, d, d), if known
+        vals, vecs = np.linalg.eigh(field.values) if spectrum is None else spectrum
         lo, hi = vals[:, 0], vals[:, -1]
         if np.any(hi <= 0.0) or np.any(lo < -PSD_TOL * hi):
             raise ValueError("weight has a non positive definite leaf")
@@ -214,54 +223,50 @@ def _direction_weights(field: GridMatrixField, dirs: np.ndarray) -> np.ndarray:
     return outer @ field.values.reshape(-1, d2).T
 
 
-def scalar_direction_weight(field: GridMatrixField, e: np.ndarray) -> GridScalar:
-    """The scalar weight x -> <W(x) e, e> for a unit direction e."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (field.dim,):
-        raise ValueError(f"direction must have shape ({field.dim},), got {e.shape}")
-    norm = float(np.linalg.norm(e))
-    if norm == 0.0:
-        raise ValueError("direction must be a nonzero vector")
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"direction must be a unit vector (norm {norm!r})")
-    return GridScalar(field.depth, _direction_weights(field, e.reshape(1, -1))[0])
+def _fujii_wilson_fold(rows: np.ndarray) -> float:
+    """max over the rows of a stack (c, 2^N), each row a weight w, of
+    sup_I <M_I w>_I / <w>_I, with M_I the dyadic maximal function localized
+    to I. Overwrites a writable C-contiguous stack.
 
-
-def fujii_wilson_constant(w: GridScalar) -> float:
-    """sup_I <M_I w>_I / <w>_I with M_I the dyadic maximal function localized to I.
-
-    One bottom-up pass, O(N 2^N) total: once root level r is folded in,
-    running[x] = M_I w(x) for the interval I of level r that contains x.
-    Root level N is not folded: each of its ratios is w(x) / w(x) = 1.
-    numpy's mean adds a row of fewer than 8 values left to right, so such
-    rows are folded column by column: a strided max per column, then the
-    columns added left to right, the same bits in a few long passes instead
-    of one short reduction per row. From 8 values on numpy sums pairwise,
-    so wider rows keep mean.
+    One bottom-up pass, O(N 2^N) per row: once root level r is folded in,
+    row[x] = M_I w(x) for the interval I of level r that contains x. Each
+    level's averages are made from the level below as the pass goes, so no
+    tree is stored. Root level N is not folded: each of its ratios is
+    w(x) / w(x) = 1. numpy's mean adds a row of fewer than 8 values left to
+    right, so such rows are folded column by column: a strided max per
+    column, then the columns added left to right, the same bits in a few long
+    passes instead of one short reduction per row. From 8 values on numpy
+    sums pairwise, so wider rows keep mean.
     """
-    if np.any(w.values <= 0.0):
-        raise ValueError("weight must be positive")
-    tree = w.average_tree()
-    depth = w.depth
-    best = 1.0
-    running = tree[depth].copy()
-    for root_level in range(depth - 1, -1, -1):
-        avg = tree[root_level]
-        view = running.reshape(1 << root_level, -1)  # row j: the leaves under (root_level, j)
+    lo, hi = float(np.min(rows)), float(np.max(rows))
+    if not (lo > 0.0 and hi <= np.finfo(float).max / 2):
+        raise ValueError("weight must be positive and within half the float range")
+    c, n = rows.shape
+    best, avg = 1.0, rows
+    for root_level in range(n.bit_length() - 2, -1, -1):
+        avg = np.add(avg[:, 0::2], avg[:, 1::2])
+        avg *= 0.5
+        flat = avg.reshape(-1)
+        view = rows.reshape(c << root_level, -1)  # a row: the leaves under one interval
         width = view.shape[1]
         if width < 8:
             cols = [view[:, j] for j in range(width)]
             for col in cols:
-                np.maximum(col, avg, out=col)
+                np.maximum(col, flat, out=col)
             mean = cols[0].copy()
             for col in cols[1:]:
                 mean += col
             mean /= width
         else:
-            np.maximum(view, avg[:, None], out=view)
+            np.maximum(view, flat[:, None], out=view)
             mean = view.mean(axis=1)
-        best = max(best, float(np.max(np.divide(mean, avg, out=mean))))
+        best = max(best, float(np.max(np.divide(mean, flat, out=mean))))
     return best
+
+
+def fujii_wilson_constant(w: GridScalar) -> float:
+    """sup_I <M_I w>_I / <w>_I with M_I the dyadic maximal function localized to I."""
+    return _fujii_wilson_fold(w.values[None].copy())
 
 
 def _radical_inverse(base: int, index: int) -> float:
@@ -330,7 +335,8 @@ def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int =
     A lower bound of the true supremum over directions; exact for d = 1.
     W_e = W_{-e} holds bit for bit, so a direction equal to -u for an already
     evaluated u is skipped, as is an exact repeat. The direction weights are
-    built AINFTY_BLOCK_FLOATS >> N directions at a time, at least one.
+    built and folded AINFTY_BLOCK_FLOATS >> N directions at a time, at least
+    one.
     """
     distinct: list[np.ndarray] = []
     seen: set[tuple[float, ...]] = set()
@@ -340,12 +346,8 @@ def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int =
             seen.update((key, tuple((-e).tolist())))
             distinct.append(e)
     block = max(1, AINFTY_BLOCK_FLOATS >> field.depth)
-    best = 1.0
-    for start in range(0, len(distinct), block):
-        # row is local to the comprehension, so no view of this block outlives it
-        best = max(best, *[fujii_wilson_constant(GridScalar(field.depth, row)) for row in
-                           _direction_weights(field, np.array(distinct[start:start + block]))])
-    return best
+    return max(_fujii_wilson_fold(_direction_weights(field, np.array(distinct[start:start + block])))
+               for start in range(0, len(distinct), block))
 
 
 @dataclass(frozen=True)
@@ -408,7 +410,7 @@ def generate_weight(spec: WeightFamilySpec) -> MatrixWeight:
                          f"{spec.dim} puts |log2| of its leaf eigenvalues up to {bound:.0f}, "
                          f"past the float range's {limit:.0f}")
     n, d, t = 1 << spec.depth, spec.dim, spec.parameter
-    values = np.zeros((n, d, d))
+    values, spectrum = np.zeros((n, d, d)), None
     if spec.kind == "identity":
         values[:] = np.eye(d)
     elif spec.kind == "scalar_power":
@@ -434,7 +436,8 @@ def generate_weight(spec: WeightFamilySpec) -> MatrixWeight:
         sym[:, rows, cols] = draws
         sym[:, cols, rows] = draws
         vals, vecs = np.linalg.eigh(sym)
-        values = np.einsum("nij,nj,nkj->nik", vecs, np.exp(vals), vecs)
+        spectrum = (np.exp(vals), vecs)
+        values = np.einsum("nij,nj,nkj->nik", vecs, spectrum[0], vecs)
     field = GridMatrixField(spec.depth, d, values)
     meta = {"kind": spec.kind, "parameter": spec.parameter, "seed": spec.seed}
-    return MatrixWeight(field, metadata=meta)
+    return MatrixWeight(field, metadata=meta, spectrum=spectrum)

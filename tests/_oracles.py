@@ -12,8 +12,11 @@ which eigensolves every interval with the library's own `psd_power_stack` and
 Fujii-Wilson fold, with a row-wise mean at every level, on the scalar's own
 average tree; `ainfty_directions_reference` and `ainfty_reference` are the
 former A-infinity direction set and loop, which take the field's averages and
-the library's Halton fill. `test_analyze_matches_haar_inner_products` pins
-`analyze` against `haar_leaf_values` coefficient by coefficient.
+the library's Halton fill; `scalar_direction_weight` runs the library's
+block product on one direction. `left_endpoint`, `right_endpoint` and
+`contains` are interval geometry that only the tests ask for.
+`test_analyze_matches_haar_inner_products` pins `analyze` against
+`haar_leaf_values` coefficient by coefficient.
 """
 
 import numpy as np
@@ -23,9 +26,38 @@ from matw.haar import analyze, synthesize
 from matw.linalg import psd_power, psd_power_stack, top_eigenvalue_stack
 from matw.opnorm import OperatorNormEstimate, rayleigh_quotient, start_vector
 from matw.sparse import _GenerationScan
-from matw.weights import halton_sphere_directions
+from matw.weights import _direction_weights, halton_sphere_directions
 
 ENUMERATION_CAP = 22
+
+
+def left_endpoint(interval: DyadicInterval) -> float:
+    return interval.index * 2.0 ** -interval.level
+
+
+def right_endpoint(interval: DyadicInterval) -> float:
+    return (interval.index + 1) * 2.0 ** -interval.level
+
+
+def contains(outer: DyadicInterval, inner: DyadicInterval) -> bool:
+    """Whether inner lies in outer, by the index bits of inner's ancestor at outer's level."""
+    if inner.level < outer.level:
+        return False
+    return (inner.index >> (inner.level - outer.level)) == outer.index
+
+
+def scalar_direction_weight(field, e: np.ndarray) -> GridScalar:
+    """The scalar weight x -> <W(x) e, e> for a unit direction e, by the
+    library's block product on a block of one."""
+    e = np.asarray(e, dtype=float)
+    if e.shape != (field.dim,):
+        raise ValueError(f"direction must have shape ({field.dim},), got {e.shape}")
+    norm = float(np.linalg.norm(e))
+    if norm == 0.0:
+        raise ValueError("direction must be a nonzero vector")
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"direction must be a unit vector (norm {norm!r})")
+    return GridScalar(field.depth, _direction_weights(field, e.reshape(1, -1))[0])
 
 
 def direct_average(values: np.ndarray, depth: int, interval: DyadicInterval):

@@ -13,12 +13,11 @@ from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
                           ainfty_characteristic, ainfty_directions,
                           fujii_wilson_constant, generate_weight,
                           halton_sphere_directions, load_weight,
-                          matrix_weight_from_scalar, scalar_direction_weight,
-                          scalar_power_leaf_values)
+                          matrix_weight_from_scalar, scalar_power_leaf_values)
 
 from _oracles import (a2_every_interval_reference, ainfty_directions_reference, ainfty_reference,
                       brute_fujii_wilson, brute_matrix_a2, brute_scalar_a2,
-                      fujii_wilson_reference)
+                      fujii_wilson_reference, scalar_direction_weight)
 
 # family-calibration regression value, frozen from this implementation
 GOLDEN_SCALAR_POWER_A2_N10_T05 = 877.428572041448
@@ -341,9 +340,34 @@ def test_fujii_wilson_equals_the_row_mean_fold_bit_for_bit(depth):
         assert fujii_wilson_constant(w) == fujii_wilson_reference(w), name
 
 
+def _reference_over_rows(rows: np.ndarray) -> float:
+    depth = rows.shape[1].bit_length() - 1
+    return max(fujii_wilson_reference(GridScalar(depth, row)) for row in rows)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+@pytest.mark.parametrize("depth", range(15))
+def test_stacked_fold_equals_the_max_of_the_row_mean_fold_bit_for_bit(depth, rows):
+    # levels of width below 8 are folded by columns and the wider ones by mean, across the stack
+    inputs = list(_fold_inputs(depth).values())
+    rng = np.random.default_rng(100 + depth)
+    inputs += [np.exp(rng.normal(size=1 << depth)) for _ in range(rows)]
+    stack = np.array(inputs[:rows])
+    assert mweights._fujii_wilson_fold(stack.copy()) == _reference_over_rows(stack)
+
+
 def test_fujii_wilson_rejects_nonpositive():
     with pytest.raises(ValueError, match="positive"):
         fujii_wilson_constant(GridScalar(1, [1.0, 0.0]))
+
+
+@pytest.mark.parametrize("leaf", [np.diag([1.0, -1.0]), np.full((2, 2), 8e307)],
+                         ids=["indefinite", "past_half_the_float_range"])
+def test_ainfty_rejects_a_direction_weight_the_fold_cannot_take(leaf):
+    # the field read is not checked for definiteness: e_2 gives -1; (1, 1)/sqrt(2) gives 1.6e308
+    field = GridMatrixField(1, 2, np.array([leaf, leaf]))
+    with pytest.raises(ValueError, match="weight must be positive and within half the float range"):
+        ainfty_characteristic(field, 4)
 
 
 def test_ainfty_identity():
@@ -359,16 +383,15 @@ def test_ainfty_scalar_case_is_exact_fujii_wilson():
 
 
 def test_ainfty_evaluates_each_direction_once_up_to_sign(monkeypatch):
-    # for d = 1 every direction is +1 or -1, and W_e = W_{-e}
-    import matw.weights as mweights
-    calls = []
-    original = mweights.fujii_wilson_constant
-    monkeypatch.setattr(mweights, "fujii_wilson_constant",
-                        lambda w: calls.append(w) or original(w))
+    # for d = 1 every direction is +1 or -1, and W_e = W_{-e}: one row reaches the fold
+    rows = []
+    original = mweights._fujii_wilson_fold
+    monkeypatch.setattr(mweights, "_fujii_wilson_fold",
+                        lambda stack: rows.append(len(stack)) or original(stack))
     w = scalar_weight(4, np.exp(np.linspace(-1, 2, 16)))
     assert len(ainfty_directions(w.field, 8)) == 8
     ainfty_characteristic(w.field, 8)
-    assert len(calls) == 1
+    assert sum(rows) == 1
 
 
 def _ainfty_fields(kind: str, dim: int):
@@ -394,6 +417,13 @@ def test_ainfty_equals_the_per_direction_loop(kind, dim):
                 assert fast == ref, (field.depth, seed)
             else:
                 assert abs(fast - ref) <= 1e-15 * ref, (field.depth, seed, fast, ref)
+
+
+@pytest.mark.parametrize("kind,dim", AINFTY_CASES)
+def test_stacked_fold_equals_the_row_mean_fold_on_direction_blocks(kind, dim):
+    for field in _ainfty_fields(kind, dim):
+        rows = mweights._direction_weights(field, ainfty_directions(field, 8))
+        assert mweights._fujii_wilson_fold(rows.copy()) == _reference_over_rows(rows), field.depth
 
 
 @pytest.mark.parametrize("kind,dim", AINFTY_CASES)
@@ -447,10 +477,12 @@ def test_ainfty_does_not_depend_on_the_blas_thread_count():
 def test_ainfty_peak_memory(kind, dim, depth, bound):
     """Traced peak of one A-infinity call (tracemalloc, numpy 2.4).
 
-    At (14, 4) the 128 directions go in blocks of 16, 2 MB each, and the call
-    peaks at about 2.5 MB; one block of all 128 would hold 16 MB, and the
-    einsum loop peaked at 0.7 MB. At (18, 1) the fold of the one direction
-    sets the peak: about 7.9 MB, against 8.4 MB for the row-mean fold.
+    At (14, 4) the 128 directions go in blocks of 8, 1 MB each, folded in
+    place, and the call peaks at about 2.4 MB; blocks of 16 peaked at 4.8 MB,
+    one block of all 128 would hold 16 MB, and the einsum loop peaked at
+    0.7 MB. At (18, 1) the fold of the one direction sets the peak: about
+    4.7 MB, against 7.9 MB for a fold on the scalar's average tree and
+    8.4 MB for the row-mean fold.
     """
     import tracemalloc
     t = 0.3 if kind == "scalar_power" else 1.0
@@ -574,11 +606,49 @@ def test_scale_invariance_of_characteristics():
     assert abs(fw - fw_scaled) <= 1e-10 * fw
 
 
-def test_weight_rejects_singular_leaf():
+def _diagonal_spectrum(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of diagonal leaves, read off the diagonal."""
+    diag = np.diagonal(leaves, axis1=1, axis2=2)
+    order = np.argsort(diag, axis=1)
+    return np.take_along_axis(diag, order, axis=1), np.eye(leaves.shape[1])[:, order].transpose(1, 0, 2)
+
+
+def _rejection(leaves: np.ndarray, spectrum) -> str:
+    with pytest.raises(ValueError) as info:
+        MatrixWeight(GridMatrixField(1, 2, leaves),
+                     spectrum=_diagonal_spectrum(leaves) if spectrum else None)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("spectrum", [False, True], ids=["eigh", "spectrum"])
+def test_weight_rejects_singular_leaf(spectrum):
     vals = np.tile(np.eye(2), (2, 1, 1))
     vals[1] = np.diag([1.0, 1e-14])
-    with pytest.raises(ValueError, match="singular weight"):
-        MatrixWeight(GridMatrixField(1, 2, vals))
+    message = _rejection(vals, spectrum)
+    assert message == _rejection(vals, False)
+    assert message == "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"
+
+
+def test_random_log_pd_inverse_from_its_spectrum_within_rounding():
+    """The inverse V exp(-L) V^T from the generating eigendecomposition, and the
+    one from an eigh of the stored leaves, each leave ||W W^-1 - I|| below
+    k cond(W(x)) u per leaf, and differ by at most k cond u ||W^-1||. Measured
+    at N = 10 and 14, t in {0.5, 1, 1.5, 2}, seeds 0 and 1: the worst ratios
+    were 23.5 for the spectrum route, 11.0 for eigh and 21.6 for their
+    difference, all at N = 14, t = 0.5, d = 3 or 4."""
+    k, u = 32.0, float(np.finfo(float).eps) / 2
+    for dim in (2, 3, 4):
+        for t in (0.5, 1.0, 2.0):
+            w = generate_weight(WeightFamilySpec("random_log_pd", dim, 12, parameter=t))
+            eigh_route = MatrixWeight(w.field).inverse_field.values
+            vals = np.linalg.eigvalsh(w.field.values)
+            scale = k * u * vals[:, -1] / vals[:, 0]
+            for inverse in (w.inverse_field.values, eigh_route):
+                defect = np.linalg.norm(w.field.values @ inverse - np.eye(dim), ord=2, axis=(1, 2))
+                assert np.all(defect <= scale), (dim, t)
+            gap = np.linalg.norm(w.inverse_field.values - eigh_route, ord=2, axis=(1, 2))
+            assert np.all(gap <= scale * np.linalg.norm(eigh_route, ord=2, axis=(1, 2))), (dim, t)
+            assert not np.array_equal(w.inverse_field.values, eigh_route)
 
 
 @pytest.mark.parametrize("dim, eps_pd, message", [
@@ -597,9 +667,11 @@ def test_weight_rejects_eps_pd_below_its_floor(dim, eps_pd, message):
     ([np.eye(2), np.diag([1e-310, 1e-310])], "leaf 1 has eigenvalue 1.000e-310"),
     ([5e307 * np.eye(2), np.eye(2)], "leaf 0 has eigenvalue 5.000e+307"),
 ], ids=["subnormal", "inverse_subnormal"])
-def test_weight_rejects_a_leaf_outside_the_float_range(leaves, message):
-    with pytest.raises(ValueError, match=re.escape(message + ", whose inverse leaves the float range")):
-        MatrixWeight(GridMatrixField(1, 2, np.array(leaves)))
+@pytest.mark.parametrize("spectrum", [False, True], ids=["eigh", "spectrum"])
+def test_weight_rejects_a_leaf_outside_the_float_range(leaves, message, spectrum):
+    got = _rejection(np.array(leaves), spectrum)
+    assert got == _rejection(np.array(leaves), False)
+    assert got == message + ", whose inverse leaves the float range"
 
 
 def test_weight_accepts_leaves_at_the_ends_of_the_float_range():
