@@ -15,6 +15,9 @@ former A-infinity direction set and loop, which take the field's averages and
 the library's Halton fill; `scalar_direction_weight` runs the library's
 block product on one direction. `left_endpoint`, `right_endpoint` and
 `contains` are interval geometry that only the tests ask for.
+`lacunary_spine` and `scalar_power_spine` solve weights that are constant on
+the lacunary blocks exactly at any depth, from a dense problem of size
+(N + 1) d on the spine, with no grid.
 `test_analyze_matches_haar_inner_products` pins `analyze` against
 `haar_leaf_values` coefficient by coefficient.
 """
@@ -306,6 +309,96 @@ def dense_top_generalized_eigenvalue(weight) -> float:
         p_inv_sqrt[k * d:(k + 1) * d, k * d:(k + 1) * d] = roots[k]
     sym = p_inv_sqrt @ q @ p_inv_sqrt
     return float(np.linalg.eigvalsh(sym)[-1])
+
+
+def _block_log2_sizes(depth: int) -> np.ndarray:
+    """log2 |B_m| of the lacunary blocks: B_m = [2^-m-1, 2^-m) for m < N, and
+    B_N, leaf 0, of measure 2^-N."""
+    return -np.minimum(np.arange(depth + 1) + 1, depth).astype(float)
+
+
+def lacunary_leaves(blocks: np.ndarray) -> np.ndarray:
+    """The leaves (2^N, d, d) of a weight equal to blocks[m] on B_m: leaf 0 is
+    B_N, and leaves [2^(N-m-1), 2^(N-m)) are B_m."""
+    depth = len(blocks) - 1
+    parts = [blocks[depth:]] + [np.repeat(blocks[m:m + 1], 1 << (depth - m - 1), axis=0)
+                                for m in range(depth - 1, -1, -1)]
+    return np.concatenate(parts)
+
+
+def _spine_values(depth: int, normsq_spine: float, a2_spine: float) -> tuple[float, float]:
+    """Add the intervals off the spine: a function that oscillates inside one
+    block has ratio Q/P = 1, and exists once B_0 has two leaves (N >= 2); every
+    interval inside a block has A2 value 1."""
+    return (max(normsq_spine, 1.0) if depth >= 2 else normsq_spine), max(a2_spine, 1.0)
+
+
+def lacunary_spine(blocks: np.ndarray) -> tuple[float, float]:
+    """(squared norm, A2) of the weight equal to blocks[m] (N + 1, d, d) on the
+    lacunary block B_m, from the spine J_k = [0, 2^-k) alone.
+
+    Every dyadic interval is a spine interval or lies in one block, where W is
+    constant. Write f = sum_m a_m 1_{B_m} + g, with g of mean zero on each
+    block: g adds the same integral of <W_m g, g> to Q and to P (Parseval), and
+    the spine coefficients c_k = 1/2 2^{-k/2} (mean_{J_{k+1}} f - a_k) read the
+    block means a_m only. So lambda_max(Q, P) = max(1, lambda_spine), where
+    lambda_spine is the top eigenvalue of
+      Q_s(a) = sum_{k<N} <<W>_{J_k} c_k, c_k>,   P_s(a) = sum_m |B_m| <W_m a_m, a_m>,
+    the squared top singular value of <W>_{J_k}^{1/2} C (|B_m| W_m)^{-1/2}, with
+    C the map a -> c. A2 is max(1, ·) of the spine intervals' values. Roots and
+    inverses come from one eigh per block and per spine average.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    depth, d = len(blocks) - 1, blocks.shape[1]
+    if depth == 0:
+        return 0.0, 1.0
+    size = 2.0 ** _block_log2_sizes(depth)
+    vals, vecs = np.linalg.eigh(blocks)
+    inverse = np.einsum("mij,mj,mkj->mik", vecs, 1.0 / vals, vecs)
+    whiten = np.einsum("mij,mj,mkj->mik", vecs, (vals * size[:, None]) ** -0.5, vecs)
+    # <.>_{J_k} = 2^k sum_{m >= k} |B_m| (.)_m
+    scale = 2.0 ** np.arange(depth + 1)[:, None, None]
+    avg = np.cumsum((size[:, None, None] * blocks)[::-1], axis=0)[::-1] * scale
+    avg_inv = np.cumsum((size[:, None, None] * inverse)[::-1], axis=0)[::-1] * scale
+    kernel = np.zeros((depth * d, (depth + 1) * d))
+    a2 = 0.0
+    for k in range(depth):
+        root = _eigh_power(avg[k], 0.5)
+        a2 = max(a2, float(np.linalg.eigvalsh(root @ avg_inv[k] @ root)[-1]))
+        coef = np.zeros(depth + 1)
+        coef[k] = -0.5 * 2.0 ** (-k / 2)
+        coef[k + 1:] = 2.0 ** (k / 2) * size[k + 1:]
+        for m in range(k, depth + 1):
+            kernel[k * d:(k + 1) * d, m * d:(m + 1) * d] = coef[m] * root @ whiten[m]
+    return _spine_values(depth, float(np.linalg.svd(kernel, compute_uv=False)[0]) ** 2, a2)
+
+
+def scalar_power_spine(depth: int, t: float) -> tuple[float, float]:
+    """lacunary_spine of scalar_power at (depth, t), w_m = 2^(-m alpha) with
+    alpha = 2t/(1-t), with every entry taken in log2 so that no spine average
+    underflows. The kernel entries are, for k < N,
+      m > k:  2^{k/2} <w>_{J_k}^{1/2} |B_m|^{1/2} w_m^{-1/2},
+      m = k:  -2^{-1/2} (<w>_{J_k} / w_k)^{1/2},
+    and the kernel is scaled by its largest entry before the SVD."""
+    if depth == 0:
+        return 0.0, 1.0
+    alpha = 2.0 * t / (1.0 - t)
+    k = np.arange(depth + 1, dtype=float)
+    log_size, log_w = _block_log2_sizes(depth), -alpha * k
+
+    def log_spine_average(log_values: np.ndarray) -> np.ndarray:
+        return k + np.logaddexp2.accumulate((log_size + log_values)[::-1])[::-1]
+
+    log_avg, log_avg_inv = log_spine_average(log_w), log_spine_average(-log_w)
+    rows, cols = np.triu_indices(depth, m=depth + 1)
+    log_entry = np.where(rows == cols, -0.5 + 0.5 * (log_avg[rows] - log_w[rows]),
+                         0.5 * (k[rows] + log_avg[rows] + log_size[cols] - log_w[cols]))
+    shift = float(np.max(log_entry))
+    kernel = np.zeros((depth, depth + 1))
+    kernel[rows, cols] = np.where(rows == cols, -1.0, 1.0) * np.exp2(log_entry - shift)
+    log_top = 2.0 * (np.log2(np.linalg.svd(kernel, compute_uv=False)[0]) + shift)
+    return _spine_values(depth, float(np.exp2(log_top)),
+                         float(np.exp2(np.max(log_avg + log_avg_inv))))
 
 
 def random_grid_vector(depth: int, dim: int, rng: np.random.Generator,

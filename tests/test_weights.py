@@ -613,19 +613,25 @@ def _diagonal_spectrum(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(diag, order, axis=1), np.eye(leaves.shape[1])[:, order].transpose(1, 0, 2)
 
 
-def _rejection(leaves: np.ndarray, spectrum) -> str:
+def _rejection(leaves: np.ndarray, spectrum: bool) -> str:
     with pytest.raises(ValueError) as info:
         MatrixWeight(GridMatrixField(1, 2, leaves),
                      spectrum=_diagonal_spectrum(leaves) if spectrum else None)
     return str(info.value)
 
 
-@pytest.mark.parametrize("spectrum", [False, True], ids=["eigh", "spectrum"])
-def test_weight_rejects_singular_leaf(spectrum):
+def test_weight_rejects_singular_leaf():
     vals = np.tile(np.eye(2), (2, 1, 1))
     vals[1] = np.diag([1.0, 1e-14])
-    message = _rejection(vals, spectrum)
-    assert message == _rejection(vals, False)
+    with pytest.raises(ValueError, match="singular weight"):
+        MatrixWeight(GridMatrixField(1, 2, vals))
+
+
+def test_weight_from_a_spectrum_rejects_a_singular_leaf_as_eigh_does():
+    vals = np.tile(np.eye(2), (2, 1, 1))
+    vals[1] = np.diag([1.0, 1e-14])
+    message = _rejection(vals, spectrum=True)
+    assert message == _rejection(vals, spectrum=False)
     assert message == "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"
 
 
@@ -663,14 +669,22 @@ def test_weight_rejects_eps_pd_below_its_floor(dim, eps_pd, message):
         MatrixWeight(GridMatrixField(0, dim, np.eye(dim)[None]), eps_pd=eps_pd)
 
 
-@pytest.mark.parametrize("leaves, message", [
+OUTSIDE_THE_FLOAT_RANGE = pytest.mark.parametrize("leaves, message", [
     ([np.eye(2), np.diag([1e-310, 1e-310])], "leaf 1 has eigenvalue 1.000e-310"),
     ([5e307 * np.eye(2), np.eye(2)], "leaf 0 has eigenvalue 5.000e+307"),
 ], ids=["subnormal", "inverse_subnormal"])
-@pytest.mark.parametrize("spectrum", [False, True], ids=["eigh", "spectrum"])
-def test_weight_rejects_a_leaf_outside_the_float_range(leaves, message, spectrum):
-    got = _rejection(np.array(leaves), spectrum)
-    assert got == _rejection(np.array(leaves), False)
+
+
+@OUTSIDE_THE_FLOAT_RANGE
+def test_weight_rejects_a_leaf_outside_the_float_range(leaves, message):
+    with pytest.raises(ValueError, match=re.escape(message + ", whose inverse leaves the float range")):
+        MatrixWeight(GridMatrixField(1, 2, np.array(leaves)))
+
+
+@OUTSIDE_THE_FLOAT_RANGE
+def test_weight_from_a_spectrum_rejects_a_leaf_outside_the_float_range_as_eigh_does(leaves, message):
+    got = _rejection(np.array(leaves), spectrum=True)
+    assert got == _rejection(np.array(leaves), spectrum=False)
     assert got == message + ", whose inverse leaves the float range"
 
 
