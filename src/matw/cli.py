@@ -81,7 +81,8 @@ def cmd_opnorm(args) -> int:
     if args.witness_out:
         save_field(est.witness, args.witness_out)
     _print({"sw_normsq_est": est.value, "iters": est.iters, "converged": est.converged,
-            "note": "witness-certified lower bound of the squared operator norm"})
+            "note": "Rayleigh quotient of the witness: a lower bound of the squared "
+                    "operator norm up to the rounding of <W f, f>"})
     return 0 if est.converged else 1
 
 

@@ -3,8 +3,8 @@
 The squared norm is the largest generalized eigenvalue of the pair (Q, P),
   Q(f) = sum_I <<W>_I (f,h_I), (f,h_I)> = <A f, f>,      P(f) = integral <W f, f>.
 A is applied matrix-free through Haar analysis and synthesis with <W>_I
-multipliers; P is block diagonal over leaves, and the pointwise inverse W^-1
-that the weight caches at construction preconditions the search.
+multipliers; P is block diagonal over leaves, and the pointwise inverse W^-1,
+which the weight builds on its first read, preconditions the search.
 
 Each step is single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001):
 Rayleigh-Ritz on span{x, w, p}, where w = W^-1 A x - mu x is the preconditioned
@@ -21,8 +21,10 @@ rel_tol of it, or when w is rounding, that is when x is an eigenvector to
 working precision; a step that raises the Ritz value by rounding only shows
 the same, since the rise of Rayleigh-Ritz on span{x, w} is at least about
 P(w) / mu. The Rayleigh quotient of the final iterate is returned
-together with the iterate itself, so the value is always a witness-certified
-lower bound regardless of convergence.
+together with the iterate itself, converged or not. It is a lower bound of the
+squared norm only up to the rounding of <W(x) f, f>: on the ill-conditioned
+leaves of tests/test_spine.py it lies up to 0.26 cond(W(x)) u above the exact
+value. ROADMAP item 1 is the certified bound.
 
 The step works component-major, on (d, n) arrays, so that every batched d x d
 product and every tree sum runs along the long index. The average tree of the

@@ -1,10 +1,12 @@
 """Matrix weights, their A2 / A-infinity characteristics, and test families.
 
 A weight is a grid of symmetric positive definite matrices. Averages of the
-weight and of its pointwise inverse are cached over the whole dyadic tree at
-construction, because every characteristic and every stopping-time query walks
-those averages at all scales. Square roots of the averages are taken only for
-the intervals that ask for one.
+weight are cached over the whole dyadic tree at construction, because every
+characteristic and every stopping-time query walks them at all scales. The
+pointwise inverse W^-1 and its averages are built on first use: A2, the
+A-infinity of W^-1 and the norm's preconditioner read them, the stopping-time
+certificates never do. Square roots of the averages are taken only for the
+intervals that ask for one.
 
 A2 bounds every interval's top eigenvalue from the traces of <W>_I <W^-1>_I and
 its square (Wolkowicz-Styan), and eigensolves only the intervals whose bound
@@ -31,16 +33,23 @@ A-infinity by one or two units (at most 2.6e-16 relative at N <= 10). The
 fold takes rows of fewer than 8 leaves column by column, with the same bits
 as numpy's mean (see _fujii_wilson_fold).
 
-random_log_pd builds its leaves as V exp(L) V^T from an eigh of a symmetric
-draw and hands (exp(L), V) to MatrixWeight, so the leaves are eigensolved
-once. Its inverse V exp(-L) V^T then rounds differently from an eigh of the
-stored leaves, by at most 22 cond(W(x)) u ||W(x)^-1|| per leaf at N <= 14.
+Every family hands MatrixWeight the spectrum it builds its leaves from, so no
+family leaf is eigensolved after it is made. The diagonal families (identity,
+scalar_power, block_scalar) hand their diagonal and the coordinates, unsorted;
+their inverse, A2 and A-infinity are those of an eigh of the leaves, bit for
+bit. rotating hands lam = exp(t cos 2 pi x) on (c, s) and 1/lam on (-s, c);
+its inverse moves from an eigh's by at most 2.5e-15 of its largest entry and
+A2 by 6.8e-16 relative (N <= 12, t <= 2). random_log_pd builds its leaves as
+V exp(L) V^T from an eigh of a symmetric draw and hands (exp(L), V). Its
+inverse V exp(-L) V^T then rounds differently from an eigh of the stored
+leaves, by at most 22 cond(W(x)) u ||W(x)^-1|| per leaf at N <= 14.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -53,8 +62,26 @@ NORMAL_MIN = float(np.finfo(float).tiny)  # leaf eigenvalues lie in [NORMAL_MIN,
 AINFTY_BLOCK_FLOATS = 1 << 17  # direction weights held at once by ainfty_characteristic
 
 
+def _check_leaf_spectrum(vals: np.ndarray, eps_pd: float) -> None:
+    """Raise unless every leaf's eigenvalues (a row of vals, in any order) are
+    positive, clear eps_pd times the largest, and have inverses in the float
+    range. Its leaf-sized temporaries are freed on return, before the weight
+    builds its average tree."""
+    lo, hi = vals.min(axis=1), vals.max(axis=1)
+    if np.any(hi <= 0.0) or np.any(lo < -PSD_TOL * hi):
+        raise ValueError("weight has a non positive definite leaf")
+    if np.any(lo < eps_pd * hi):
+        worst = float(np.min(lo / hi))
+        raise ValueError(f"singular weight: leaf eigenvalue ratio {worst:.3e} below {eps_pd:.1e}")
+    outside = (lo < NORMAL_MIN) | (hi > 1.0 / NORMAL_MIN)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        val = lo[k] if lo[k] < NORMAL_MIN else hi[k]
+        raise ValueError(f"leaf {k} has eigenvalue {val:.3e}, whose inverse leaves the float range")
+
+
 class MatrixWeight:
-    """A positive definite matrix weight with cached averages of W and W^-1.
+    """A positive definite matrix weight, with W^-1 and its averages on first use.
 
     Positivity is enforced per leaf matrix: the smallest eigenvalue must clear
     eps_pd relative to that leaf's largest eigenvalue, so pointwise inverses
@@ -62,8 +89,14 @@ class MatrixWeight:
     4 d^2 times the machine epsilon. The spread across the grid is not enforced; extreme
     power-law weights are legitimate inputs whose leaves are individually well
     conditioned. A caller that built the leaves from their eigendecomposition
-    passes it as spectrum; the checks and the inverse then read it in place
-    of an eigh of the leaves.
+    passes it as spectrum, eigenvalues in any order; the checks and the
+    inverse then read it in place of an eigh of the leaves.
+
+    The constructor builds the average tree of W only. inverse_field, W^-1
+    from the checked spectrum, is built on its first read, which drops the
+    spectrum, and its average tree on its first query. Its own checks cannot
+    fail then: every entry is at most 1 / NORMAL_MIN, below half the float
+    range.
     """
 
     def __init__(self, field: GridMatrixField, eps_pd: float = EPS_PD, metadata: dict | None = None,
@@ -72,28 +105,23 @@ class MatrixWeight:
         floor = max(EPS_PD, 4.0 * field.dim * field.dim * float(np.finfo(float).eps))
         if not eps_pd >= floor:
             raise ValueError(f"eps_pd {eps_pd:.1e} is below the floor {floor:.1e}")
-        # spectrum: the leaves' ascending eigenvalues (n, d) and eigenvectors (n, d, d), if known
+        # spectrum: the leaves' eigenvalues (n, d) and eigenvectors (n, d, d), if known
         vals, vecs = np.linalg.eigh(field.values) if spectrum is None else spectrum
-        lo, hi = vals[:, 0], vals[:, -1]
-        if np.any(hi <= 0.0) or np.any(lo < -PSD_TOL * hi):
-            raise ValueError("weight has a non positive definite leaf")
-        if np.any(lo < eps_pd * hi):
-            worst = float(np.min(lo / hi))
-            raise ValueError(f"singular weight: leaf eigenvalue ratio {worst:.3e} below {eps_pd:.1e}")
-        outside = (lo < NORMAL_MIN) | (hi > 1.0 / NORMAL_MIN)
-        if np.any(outside):
-            k = int(np.argmax(outside))
-            val = lo[k] if lo[k] < NORMAL_MIN else hi[k]
-            raise ValueError(f"leaf {k} has eigenvalue {val:.3e}, whose inverse leaves the float range")
-        inv_vals = np.einsum("nij,nj,nkj->nik", vecs, 1.0 / vals, vecs)
+        _check_leaf_spectrum(vals, eps_pd)
         self.field = field
-        self.inverse_field = GridMatrixField(field.depth, field.dim, inv_vals)
         self.eps_pd = eps_pd
         self.metadata = dict(metadata) if metadata else {}
+        self._spectrum = (vals, vecs)
         self._sqrt_cache: dict[DyadicInterval, np.ndarray] = {}
-        # averages at every scale are queried constantly; build both trees now
+        # averages of W at every scale are queried constantly; build the tree now
         self.field.average_tree()
-        self.inverse_field.average_tree()
+
+    @cached_property
+    def inverse_field(self) -> GridMatrixField:
+        vals, vecs = self._spectrum
+        del self._spectrum
+        inv_vals = np.einsum("nij,nj,nkj->nik", vecs, 1.0 / vals, vecs)
+        return GridMatrixField(self.depth, self.dim, inv_vals)
 
     @property
     def depth(self) -> int:
@@ -352,7 +380,13 @@ def ainfty_characteristic(field: GridMatrixField, n_directions: int, seed: int =
 
 @dataclass(frozen=True)
 class WeightFamilySpec:
-    """Deterministic recipe for a test weight: family kind, size, parameter, seed."""
+    """Deterministic recipe for a test weight: family kind, size, parameter, seed.
+
+    At d >= 2, scalar_power and block_scalar pair a leaf value 2^(-N 2t/(1-t))
+    with 1 on leaf 0, so generate_weight builds them only while
+    N 2t/(1-t) <= log2(1/eps_pd), 33.2 at the default eps_pd (t <= 0.54 at
+    N = 14, t <= 0.62 at N = 10), and raises "singular weight" past it.
+    """
 
     kind: str
     dim: int
@@ -402,6 +436,48 @@ def _leaf_log2_bound(spec: WeightFamilySpec) -> float:
     return 0.0
 
 
+def _family_leaves(spec: WeightFamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leaves (n, d, d) of a family weight, their eigenvalues (n, d) and
+    eigenvectors (n, d, d). A function of its own, so that the draws and other
+    leaf-sized locals are freed before the weight is checked."""
+    n, d, t = 1 << spec.depth, spec.dim, spec.parameter
+    if spec.kind == "random_log_pd":
+        rng = np.random.default_rng(spec.seed)
+        rows, cols = np.triu_indices(d)
+        draws = rng.uniform(-t, t, size=(n, len(rows)))
+        sym = np.zeros((n, d, d))
+        sym[:, rows, cols] = draws
+        sym[:, cols, rows] = draws
+        logs, vecs = np.linalg.eigh(sym)
+        eigs = np.exp(logs)
+        values = np.einsum("nij,nj,nkj->nik", vecs, eigs, vecs)
+    elif spec.kind == "rotating":
+        # lam on (c, s) and 1/lam on (-s, c)
+        x = (np.arange(n) + 0.5) / n
+        lam = np.exp(t * np.cos(2.0 * np.pi * x))
+        c, s = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
+        values = np.empty((n, 2, 2))
+        values[:, 0, 0] = lam * c * c + s * s / lam
+        values[:, 1, 1] = lam * s * s + c * c / lam
+        values[:, 0, 1] = values[:, 1, 0] = (lam - 1.0 / lam) * c * s
+        eigs = np.stack([lam, 1.0 / lam], axis=1)
+        vecs = np.stack([c, -s, s, c], axis=1).reshape(n, 2, 2)
+    else:
+        # diagonal leaves: the diagonal is the spectrum, the coordinates its eigenvectors
+        eigs = np.ones((n, d))
+        if spec.kind == "scalar_power":
+            eigs[:, 0] = scalar_power_leaf_values(spec.depth, t)
+        elif spec.kind == "block_scalar":
+            # staggered parameters t/2^i, alternating orientation per coordinate
+            for i in range(d):
+                vals = scalar_power_leaf_values(spec.depth, t / (1 << i))
+                eigs[:, i] = vals[::-1] if i % 2 else vals
+        values = np.zeros((n, d, d))
+        values[:, range(d), range(d)] = eigs
+        vecs = np.broadcast_to(np.eye(d), (n, d, d))
+    return values, eigs, vecs
+
+
 def generate_weight(spec: WeightFamilySpec) -> MatrixWeight:
     """Build a family weight; identical specs give identical weights."""
     bound, limit = _leaf_log2_bound(spec), -math.log2(NORMAL_MIN)
@@ -409,35 +485,8 @@ def generate_weight(spec: WeightFamilySpec) -> MatrixWeight:
         raise ValueError(f"{spec.kind} parameter {spec.parameter:g} at depth {spec.depth}, dim "
                          f"{spec.dim} puts |log2| of its leaf eigenvalues up to {bound:.0f}, "
                          f"past the float range's {limit:.0f}")
-    n, d, t = 1 << spec.depth, spec.dim, spec.parameter
-    values, spectrum = np.zeros((n, d, d)), None
-    if spec.kind == "identity":
-        values[:] = np.eye(d)
-    elif spec.kind == "scalar_power":
-        values[:] = np.eye(d)
-        values[:, 0, 0] = scalar_power_leaf_values(spec.depth, t)
-    elif spec.kind == "block_scalar":
-        # staggered parameters t/2^i, alternating orientation per coordinate
-        for i in range(d):
-            vals = scalar_power_leaf_values(spec.depth, t / (1 << i))
-            values[:, i, i] = vals[::-1] if i % 2 else vals
-    elif spec.kind == "rotating":
-        x = (np.arange(n) + 0.5) / n
-        lam = np.exp(t * np.cos(2.0 * np.pi * x))
-        c, s = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
-        values[:, 0, 0] = lam * c * c + s * s / lam
-        values[:, 1, 1] = lam * s * s + c * c / lam
-        values[:, 0, 1] = values[:, 1, 0] = (lam - 1.0 / lam) * c * s
-    elif spec.kind == "random_log_pd":
-        rng = np.random.default_rng(spec.seed)
-        rows, cols = np.triu_indices(d)
-        draws = rng.uniform(-t, t, size=(n, len(rows)))
-        sym = np.zeros((n, d, d))
-        sym[:, rows, cols] = draws
-        sym[:, cols, rows] = draws
-        vals, vecs = np.linalg.eigh(sym)
-        spectrum = (np.exp(vals), vecs)
-        values = np.einsum("nij,nj,nkj->nik", vecs, spectrum[0], vecs)
-    field = GridMatrixField(spec.depth, d, values)
+    values, eigs, vecs = _family_leaves(spec)
+    field = GridMatrixField(spec.depth, spec.dim, values)
+    del values  # the field holds a symmetrized copy; free this one before the checks and the tree
     meta = {"kind": spec.kind, "parameter": spec.parameter, "seed": spec.seed}
-    return MatrixWeight(field, metadata=meta, spectrum=spectrum)
+    return MatrixWeight(field, metadata=meta, spectrum=(eigs, vecs))

@@ -9,6 +9,7 @@ from matw.weights import WeightFamilySpec, generate_weight, matrix_weight_from_s
 
 from _oracles import (dense_top_generalized_eigenvalue, power_iteration_reference,
                       random_grid_vector)
+from _peak import traced_peak
 
 
 def test_identity_weight_norm_is_one():
@@ -120,26 +121,28 @@ def test_restart_on_every_step_still_converges_to_dense_value(monkeypatch):
 
 @pytest.mark.parametrize("depth, dim, bound", [(16, 1, 4_203_255), (12, 4, 2_300_185)])
 def test_power_iteration_peak_memory(depth, dim, bound):
-    """Traced peak of one estimate, five LOBPCG steps.
+    """Traced peak of one estimate, five LOBPCG steps, in a fresh process
+    (tests/_peak.py), once the weight has built W^-1 and the same call has run
+    at depth 2.
 
-    Measured at 4,201,393-4,203,255 bytes at (N, d) = (16, 1) and at
-    2,299,529-2,300,185 bytes at (12, 4), over three tracemalloc runs of the
-    same call in a fresh process and three in this suite (numpy 2.4); the bound
-    takes the highest. The power loop before it peaked at 3,413,225-3,414,991
-    and 2,036,161-2,036,193 bytes on the same runs. The loop keeps eight
-    (d, 2^N) arrays: the heap buffer and its coefficient block, the iterate,
-    the search direction p, and the images of iterate, residual and p;
-    the heap buffer holds the residual at its leaves.
+    Read that way: 4,201,433 bytes at (N, d) = (16, 1) and 2,299,617 bytes at
+    (12, 4) (numpy 2.4). The bounds are the highest of the earlier in-suite
+    readings, 4,201,393-4,203,255 and 2,299,529-2,300,185 bytes, which moved
+    with the tests that ran before; the power loop before LOBPCG read
+    3,413,225-3,414,991 and 2,036,161-2,036,193 bytes there. The loop keeps
+    eight (d, 2^N) arrays: the heap buffer and its coefficient block, the
+    iterate, the search direction p, and the images of iterate, residual and
+    p; the heap buffer holds the residual at its leaves.
     """
-    import tracemalloc
-    w = generate_weight(WeightFamilySpec("random_log_pd", dim, depth, parameter=1.0, seed=0))
-    tracemalloc.start()
-    try:
-        estimate_operator_norm(w, PowerIterationOptions(max_iters=5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    build = ("from matw.opnorm import PowerIterationOptions, estimate_operator_norm\n"
+             "from matw.weights import WeightFamilySpec, generate_weight\n"
+             "def spec(depth):\n"
+             f"    return WeightFamilySpec('random_log_pd', {dim}, depth, parameter=1.0, seed=0)\n"
+             "opts = PowerIterationOptions(max_iters=5)\n"
+             "estimate_operator_norm(generate_weight(spec(2)), opts)\n"
+             f"w = generate_weight(spec({depth}))\n"
+             "w.inverse_field.level_averages(0)")
+    assert traced_peak(build, "estimate_operator_norm(w, opts)") <= bound
 
 
 def test_estimate_does_not_depend_on_the_blas_thread_count():

@@ -767,3 +767,16 @@ def test_a_non_finite_average_reaches_the_eigensolve_and_raises(bad, monkeypatch
     with pytest.raises(ValueError, match="non-finite entries"):
         sparse._GenerationScan(weight, sparse.analyze(f), f.values, ROOT,
                                default_stopping_config(weight.dim))
+
+
+@pytest.mark.parametrize("kind", ["identity", "scalar_power", "block_scalar", "rotating",
+                                  "random_log_pd"])
+def test_certify_and_recheck_never_build_the_inverse(kind):
+    # the certificate path reads averages of W only, so W^-1 stays unbuilt
+    dim = 2 if kind == "rotating" else 3
+    weight = generate_weight(WeightFamilySpec(kind, dim, 7, parameter=0.5, seed=1))
+    f = random_grid_vector(7, dim, np.random.default_rng(1), scale=10.0)
+    cert = certify(weight, f, default_stopping_config(dim))
+    report = recheck_certificate(json.loads(json.dumps(cert)), weight, f)
+    assert cert["ok"] and report["ok"]
+    assert "inverse_field" not in vars(weight)

@@ -18,6 +18,7 @@ from matw.weights import (MatrixWeight, WeightFamilySpec, a2_characteristic,
 from _oracles import (a2_every_interval_reference, ainfty_directions_reference, ainfty_reference,
                       brute_fujii_wilson, brute_matrix_a2, brute_scalar_a2,
                       fujii_wilson_reference, scalar_direction_weight)
+from _peak import traced_peak
 
 # family-calibration regression value, frozen from this implementation
 GOLDEN_SCALAR_POWER_A2_N10_T05 = 877.428572041448
@@ -189,21 +190,18 @@ def test_a2_with_a_non_finite_trace_bound_equals_the_every_interval_loop():
 
 def test_a2_peak_memory():
     """Traced peak of one A2 against the every-interval loop that the bound
-    pass replaced.
+    pass replaced, in a fresh process (tests/_peak.py), once the weight has
+    built W^-1 and A2 has run at depth 2.
 
     That loop peaked at 13.5 MB at scalar_power (N, d) = (18, 1), t = 0.3
     (tracemalloc, numpy 2.4); the bound pass with a fresh array per step
-    raised it to 21.2 MB. The in-place pass peaks at about 12.6 MB.
+    raised it to 21.2 MB. The in-place pass peaks at 12,586,352 bytes.
     """
-    import tracemalloc
-    weight = generate_weight(WeightFamilySpec("scalar_power", 1, 18, parameter=0.3))
-    tracemalloc.start()
-    try:
-        a2_characteristic(weight)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 13_500_000
+    build = ("from matw.weights import WeightFamilySpec, a2_characteristic, generate_weight\n"
+             "a2_characteristic(generate_weight(WeightFamilySpec('scalar_power', 1, 2, parameter=0.3)))\n"
+             "w = generate_weight(WeightFamilySpec('scalar_power', 1, 18, parameter=0.3))\n"
+             "w.inverse_field.level_averages(0)")
+    assert traced_peak(build, "a2_characteristic(w)") <= 13_500_000
 
 
 def test_a2_and_the_every_interval_loop_raise_the_same_message_on_an_overflowing_level():
@@ -606,17 +604,21 @@ def test_scale_invariance_of_characteristics():
     assert abs(fw - fw_scaled) <= 1e-10 * fw
 
 
-def _diagonal_spectrum(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of diagonal leaves, read off the diagonal."""
-    diag = np.diagonal(leaves, axis1=1, axis2=2)
+def _diagonal_spectrum(leaves: np.ndarray, ascending: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of diagonal leaves, read off the diagonal:
+    sorted, or in place with the coordinates as eigenvectors, as the diagonal
+    families hand them."""
+    diag = np.diagonal(leaves, axis1=1, axis2=2).copy()
+    if not ascending:
+        return diag, np.broadcast_to(np.eye(leaves.shape[1]), leaves.shape)
     order = np.argsort(diag, axis=1)
     return np.take_along_axis(diag, order, axis=1), np.eye(leaves.shape[1])[:, order].transpose(1, 0, 2)
 
 
-def _rejection(leaves: np.ndarray, spectrum: bool) -> str:
+def _rejection(leaves: np.ndarray, spectrum: bool, ascending: bool = True) -> str:
     with pytest.raises(ValueError) as info:
         MatrixWeight(GridMatrixField(1, 2, leaves),
-                     spectrum=_diagonal_spectrum(leaves) if spectrum else None)
+                     spectrum=_diagonal_spectrum(leaves, ascending) if spectrum else None)
     return str(info.value)
 
 
@@ -633,6 +635,20 @@ def test_weight_from_a_spectrum_rejects_a_singular_leaf_as_eigh_does():
     message = _rejection(vals, spectrum=True)
     assert message == _rejection(vals, spectrum=False)
     assert message == "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"
+
+
+@pytest.mark.parametrize("leaf, message", [
+    (np.diag([1.0, -1.0]), "weight has a non positive definite leaf"),
+    (np.diag([1.0, 1e-14]), "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"),
+    (np.diag([1e-310, 1e-310]), "leaf 1 has eigenvalue 1.000e-310, whose inverse leaves the float range"),
+    (np.diag([5e307, 4e307]), "leaf 1 has eigenvalue 5.000e+307, whose inverse leaves the float range"),
+], ids=["indefinite", "singular", "subnormal", "inverse_subnormal"])
+def test_weight_from_an_unsorted_spectrum_rejects_a_leaf_as_eigh_does(leaf, message):
+    # the diagonal in place, as the diagonal families hand it; diag(1, -1) has
+    # its smallest eigenvalue last
+    leaves = np.array([np.eye(2), leaf])
+    got = _rejection(leaves, spectrum=True, ascending=False)
+    assert got == _rejection(leaves, spectrum=False) == message
 
 
 def test_random_log_pd_inverse_from_its_spectrum_within_rounding():
@@ -655,6 +671,85 @@ def test_random_log_pd_inverse_from_its_spectrum_within_rounding():
             gap = np.linalg.norm(w.inverse_field.values - eigh_route, ord=2, axis=(1, 2))
             assert np.all(gap <= scale * np.linalg.norm(eigh_route, ord=2, axis=(1, 2))), (dim, t)
             assert not np.array_equal(w.inverse_field.values, eigh_route)
+
+
+DIAGONAL_CASES = [(kind, dim, depth) for kind in ("identity", "scalar_power", "block_scalar")
+                  for dim in (1, 2, 3, 4) for depth in (0, 1, 5, 12)] + [("scalar_power", 1, 18)]
+
+
+@pytest.mark.parametrize("kind, dim, depth", DIAGONAL_CASES)
+def test_diagonal_families_equal_the_eigh_route_bit_for_bit(kind, dim, depth):
+    """The diagonal and the coordinates, handed unsorted, give the inverse, A2
+    and the sampled A-infinity of an eigh of the stored leaves. t = 0 ties
+    every eigenvalue of a leaf, and block_scalar ties coordinates on many
+    leaves; t = 0.55 is inside the build range at N = 12 for every d."""
+    for t in ((0.0,) if kind == "identity" else (0.0, 0.3, 0.55)):
+        w = generate_weight(WeightFamilySpec(kind, dim, depth, parameter=t))
+        eigh_route = MatrixWeight(w.field)
+        assert np.array_equal(w.inverse_field.values, eigh_route.inverse_field.values), t
+        assert a2_characteristic(w) == a2_characteristic(eigh_route), t
+        assert (ainfty_characteristic(w.inverse_field, 2 * dim + 2)
+                == ainfty_characteristic(eigh_route.inverse_field, 2 * dim + 2)), t
+
+
+def test_rotating_closed_form_inverse_within_rounding_of_the_eigh_route():
+    """Measured at N <= 12, t in {0.1, 0.5, 1, 1.5, 2}: the inverses differ by
+    at most 2.5e-15 of the largest entry and A2 by 6.8e-16 relative. The
+    sampled A-infinity moved by at most 4.2e-16 wherever both routes kept the
+    same number of directions. At N = 3, t = 2 they did not: the root average
+    of W^-1 is a multiple of I to the last bit, so its eigenvectors are
+    arbitrary, and the closed form's kept two more directions and read
+    1.49968 against 1.49918."""
+    for depth in (0, 1, 3, 5, 8, 12):
+        for t in (0.5, 1.0, 2.0):
+            w = generate_weight(WeightFamilySpec("rotating", 2, depth, parameter=t))
+            eigh_route = MatrixWeight(w.field)
+            inv, ref = w.inverse_field.values, eigh_route.inverse_field.values
+            assert np.max(np.abs(inv - ref)) <= 3e-15 * np.max(np.abs(ref)), (depth, t)
+            a2, a2_ref = a2_characteristic(w), a2_characteristic(eigh_route)
+            assert abs(a2 - a2_ref) <= 1e-15 * a2_ref, (depth, t)
+            for seed in (0, 3):
+                if (len(ainfty_directions(w.inverse_field, 8, seed))
+                        == len(ainfty_directions(eigh_route.inverse_field, 8, seed))):
+                    ainf = ainfty_characteristic(w.inverse_field, 8, seed)
+                    ainf_ref = ainfty_characteristic(eigh_route.inverse_field, 8, seed)
+                    assert abs(ainf - ainf_ref) <= 1e-15 * ainf_ref, (depth, t, seed)
+
+
+@pytest.mark.parametrize("kind, dim, depth, bound", [("scalar_power", 1, 18, 11_000_000),
+                                                     ("random_log_pd", 4, 14, 9_200_000)])
+def test_generate_weight_peak_memory(kind, dim, depth, bound):
+    """Traced peak of one generate_weight in a fresh process (tests/_peak.py):
+    10,750,266 bytes at scalar_power (18, 1), t = 0.3, and 8,914,113 bytes at
+    random_log_pd (14, 4), t = 1 (numpy 2.4). With W^-1 and its tree built in
+    the constructor and the leaves' locals alive to the end, the two read
+    17,049,380 and 19,227,612 bytes."""
+    build = ("from matw.weights import WeightFamilySpec, generate_weight\n"
+             "def spec(depth):\n"
+             f"    return WeightFamilySpec('{kind}', {dim}, depth, parameter={0.3 if dim == 1 else 1.0})\n"
+             "generate_weight(spec(2))")
+    assert traced_peak(build, f"w = generate_weight(spec({depth}))") <= bound
+
+
+@pytest.mark.parametrize("kind", ["scalar_power", "block_scalar"])
+def test_power_families_build_only_inside_their_range_at_dim_2_and_up(kind):
+    """At d >= 2, leaf 0 pairs 2^(-N 2t/(1-t)) with 1, so the family builds
+    only while N 2t/(1-t) <= log2(1/eps_pd), 33.2 at the default eps_pd. The
+    handed spectrum raises the message of an eigh of the same leaves."""
+    limit = math.log2(1.0 / mweights.EPS_PD)
+    for depth, inside, outside in ((14, 0.54, 0.55), (10, 0.62, 0.63)):
+        for dim in (2, 3, 4):
+            assert depth * 2 * inside / (1 - inside) <= limit < depth * 2 * outside / (1 - outside)
+            generate_weight(WeightFamilySpec(kind, dim, depth, parameter=inside))
+    for depth, dim, t, ratio in ((14, 2, 0.55, "4.990e-11"), (14, 4, 0.55, "4.990e-11"),
+                                 (10, 3, 0.63, "5.607e-11"), (10, 2, 0.9, "6.525e-55")):
+        spec = WeightFamilySpec(kind, dim, depth, parameter=t)
+        with pytest.raises(ValueError) as info:
+            generate_weight(spec)
+        assert str(info.value) == f"singular weight: leaf eigenvalue ratio {ratio} below 1.0e-10"
+        leaves = GridMatrixField(depth, dim, mweights._family_leaves(spec)[0])
+        with pytest.raises(ValueError, match=re.escape(str(info.value))):
+            MatrixWeight(leaves)
 
 
 @pytest.mark.parametrize("dim, eps_pd, message", [
@@ -686,6 +781,21 @@ def test_weight_from_a_spectrum_rejects_a_leaf_outside_the_float_range_as_eigh_d
     got = _rejection(np.array(leaves), spectrum=True)
     assert got == _rejection(np.array(leaves), spectrum=False)
     assert got == message + ", whose inverse leaves the float range"
+
+
+@pytest.mark.parametrize("leaves", [[np.diag([1.0, -1.0]), np.eye(2)],
+                                    [np.eye(2), np.diag([1.0, 1e-14])],
+                                    [np.eye(2), np.diag([1e-310, 1e-310])],
+                                    [5e307 * np.eye(2), np.eye(2)]],
+                         ids=["indefinite", "singular", "subnormal", "inverse_subnormal"])
+def test_generate_weight_raises_each_construction_error_from_its_handed_spectrum(monkeypatch, leaves):
+    # the inverse is built on first read, so the constructor must still reject the leaves
+    leaves = np.array(leaves)
+    monkeypatch.setattr(mweights, "_family_leaves",
+                        lambda spec: (leaves.copy(), *_diagonal_spectrum(leaves, ascending=False)))
+    with pytest.raises(ValueError) as info:
+        generate_weight(WeightFamilySpec("identity", 2, 1))
+    assert str(info.value) == _rejection(leaves, spectrum=False)
 
 
 def test_weight_accepts_leaves_at_the_ends_of_the_float_range():
