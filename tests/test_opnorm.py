@@ -125,14 +125,15 @@ def test_power_iteration_peak_memory(depth, dim, bound):
     (tests/_peak.py), once the weight has built W^-1 and the same call has run
     at depth 2.
 
-    Read that way: 4,201,433 bytes at (N, d) = (16, 1) and 2,299,617 bytes at
-    (12, 4) (numpy 2.4). The bounds are the highest of the earlier in-suite
-    readings, 4,201,393-4,203,255 and 2,299,529-2,300,185 bytes, which moved
-    with the tests that ran before; the power loop before LOBPCG read
-    3,413,225-3,414,991 and 2,036,161-2,036,193 bytes there. The loop keeps
-    eight (d, 2^N) arrays: the heap buffer and its coefficient block, the
-    iterate, the search direction p, and the images of iterate, residual and
-    p; the heap buffer holds the residual at its leaves.
+    Read that way: 4,201,249-4,201,433 bytes at (N, d) = (16, 1) and
+    2,299,433-2,299,617 bytes at (12, 4) (numpy 2.4), the same whether the
+    constructor or the first read builds W^-1. The bounds are the highest of
+    the earlier in-suite readings, 4,201,393-4,203,255 and 2,299,529-2,300,185
+    bytes, which moved with the tests that ran before; the power loop before
+    LOBPCG read 3,413,225-3,414,991 and 2,036,161-2,036,193 bytes there. The
+    loop keeps eight (d, 2^N) arrays: the heap buffer and its coefficient
+    block, the iterate, the search direction p, and the images of iterate,
+    residual and p; the heap buffer holds the residual at its leaves.
     """
     build = ("from matw.opnorm import PowerIterationOptions, estimate_operator_norm\n"
              "from matw.weights import WeightFamilySpec, generate_weight\n"

@@ -615,10 +615,10 @@ def _diagonal_spectrum(leaves: np.ndarray, ascending: bool) -> tuple[np.ndarray,
     return np.take_along_axis(diag, order, axis=1), np.eye(leaves.shape[1])[:, order].transpose(1, 0, 2)
 
 
-def _rejection(leaves: np.ndarray, spectrum: bool, ascending: bool = True) -> str:
+def _rejection(leaves: np.ndarray, spectrum: bool) -> str:
     with pytest.raises(ValueError) as info:
         MatrixWeight(GridMatrixField(1, 2, leaves),
-                     spectrum=_diagonal_spectrum(leaves, ascending) if spectrum else None)
+                     spectrum=_diagonal_spectrum(leaves, ascending=True) if spectrum else None)
     return str(info.value)
 
 
@@ -635,20 +635,6 @@ def test_weight_from_a_spectrum_rejects_a_singular_leaf_as_eigh_does():
     message = _rejection(vals, spectrum=True)
     assert message == _rejection(vals, spectrum=False)
     assert message == "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"
-
-
-@pytest.mark.parametrize("leaf, message", [
-    (np.diag([1.0, -1.0]), "weight has a non positive definite leaf"),
-    (np.diag([1.0, 1e-14]), "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"),
-    (np.diag([1e-310, 1e-310]), "leaf 1 has eigenvalue 1.000e-310, whose inverse leaves the float range"),
-    (np.diag([5e307, 4e307]), "leaf 1 has eigenvalue 5.000e+307, whose inverse leaves the float range"),
-], ids=["indefinite", "singular", "subnormal", "inverse_subnormal"])
-def test_weight_from_an_unsorted_spectrum_rejects_a_leaf_as_eigh_does(leaf, message):
-    # the diagonal in place, as the diagonal families hand it; diag(1, -1) has
-    # its smallest eigenvalue last
-    leaves = np.array([np.eye(2), leaf])
-    got = _rejection(leaves, spectrum=True, ascending=False)
-    assert got == _rejection(leaves, spectrum=False) == message
 
 
 def test_random_log_pd_inverse_from_its_spectrum_within_rounding():
@@ -783,19 +769,26 @@ def test_weight_from_a_spectrum_rejects_a_leaf_outside_the_float_range_as_eigh_d
     assert got == message + ", whose inverse leaves the float range"
 
 
-@pytest.mark.parametrize("leaves", [[np.diag([1.0, -1.0]), np.eye(2)],
-                                    [np.eye(2), np.diag([1.0, 1e-14])],
-                                    [np.eye(2), np.diag([1e-310, 1e-310])],
-                                    [5e307 * np.eye(2), np.eye(2)]],
-                         ids=["indefinite", "singular", "subnormal", "inverse_subnormal"])
-def test_generate_weight_raises_each_construction_error_from_its_handed_spectrum(monkeypatch, leaves):
-    # the inverse is built on first read, so the constructor must still reject the leaves
+@pytest.mark.parametrize("leaves, message", [
+    ([np.diag([1.0, -1.0]), np.eye(2)], "weight has a non positive definite leaf"),
+    ([np.eye(2), np.diag([1.0, 1e-14])], "singular weight: leaf eigenvalue ratio 1.000e-14 below 1.0e-10"),
+    ([np.eye(2), np.diag([1e-310, 1e-310])],
+     "leaf 1 has eigenvalue 1.000e-310, whose inverse leaves the float range"),
+    ([np.eye(2), np.diag([5e307, 4e307])],
+     "leaf 1 has eigenvalue 5.000e+307, whose inverse leaves the float range"),
+], ids=["indefinite", "singular", "subnormal", "inverse_subnormal"])
+def test_generate_weight_raises_each_construction_error_from_its_handed_spectrum(monkeypatch, leaves,
+                                                                                 message):
+    """The inverse is built on first read, so the constructor must still reject
+    the leaves, from the diagonal in place as the diagonal families hand it:
+    diag(1, -1) has its smallest eigenvalue last, diag(5e307, 4e307) its largest
+    first. The message is that of an eigh of the same leaves."""
     leaves = np.array(leaves)
     monkeypatch.setattr(mweights, "_family_leaves",
                         lambda spec: (leaves.copy(), *_diagonal_spectrum(leaves, ascending=False)))
     with pytest.raises(ValueError) as info:
         generate_weight(WeightFamilySpec("identity", 2, 1))
-    assert str(info.value) == _rejection(leaves, spectrum=False)
+    assert str(info.value) == _rejection(leaves, spectrum=False) == message
 
 
 def test_weight_accepts_leaves_at_the_ends_of_the_float_range():
